@@ -19,7 +19,6 @@ are exact for the two-photon truncated sources.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -32,28 +31,11 @@ class Normalization(str, Enum):
     PAIRS = "pairs"
 
 
-class DeltaNEstimate(NamedTuple):
-    """Feed-forward power with a calibration diagnostic."""
-
-    value: float
-    bar_balanced: bool
-
-
 class PeakPower(NamedTuple):
     """Argmax reflectivity (None when the curve is degenerate) and the value."""
 
     r2_opt: float | None
     value: float
-
-
-@dataclass(frozen=True)
-class PowerCurve:
-    """A sampled closed-form curve: (r2, value) pairs plus its parameters."""
-
-    kind: SourceKind
-    normalization: Normalization
-    samples: tuple[tuple[float, float], ...]
-    params: dict
 
 
 def closed_form_power(kind: SourceKind, normalization: Normalization, r, *,
@@ -93,20 +75,6 @@ def closed_form_power(kind: SourceKind, normalization: Normalization, r, *,
     return 2.0 * as_efficiency(eps2) * visibility_factor * tap
 
 
-def construct_delta_n(bar: float, cross: float, feed_forward: float,
-                      bar_stderr: float = 0.0) -> DeltaNEstimate:
-    """Combine the three run modes into the demon power.
-
-    The reported power is ``feed_forward - cross``; the bar run is the
-    balance check and only feeds the diagnostic, which flags an imbalance
-    beyond three standard errors.
-    """
-    if bar_stderr < 0:
-        raise ValueError("bar_stderr must be >= 0")
-    balanced = abs(bar) <= 3.0 * bar_stderr if bar_stderr > 0 else bar == 0
-    return DeltaNEstimate(feed_forward - cross, balanced)
-
-
 def peak_power(kind: SourceKind, normalization: Normalization, *,
                nbar: float | None = None, eps2: float | None = None,
                v2: float | None = None) -> PeakPower:
@@ -122,19 +90,6 @@ def peak_power(kind: SourceKind, normalization: Normalization, *,
     if half > 0.0:
         return PeakPower(0.5, half)
     return PeakPower(None, 0.0)
-
-
-def power_curve(kind: SourceKind, normalization: Normalization,
-                r2_grid, *, nbar: float | None = None,
-                eps2: float | None = None, v2: float | None = None) -> PowerCurve:
-    samples = tuple(
-        (float(r2), closed_form_power(kind, normalization, math.sqrt(r2),
-                                      nbar=nbar, eps2=eps2, v2=v2))
-        for r2 in r2_grid
-    )
-    params = {k: v for k, v in (("nbar", nbar), ("eps2", eps2), ("v2", v2))
-              if v is not None}
-    return PowerCurve(SourceKind(kind), Normalization(normalization), samples, params)
 
 
 def peak_enhancement_ratio(nbar: float) -> float:

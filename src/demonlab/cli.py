@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 failed checks, 2 bad config or arguments.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -19,19 +20,12 @@ import warnings
 
 from .analytics import Normalization
 from .fock import LowPhotonRegimeWarning
-from .harness import (ConfigError, PRESETS, emit_report, load_config,
-                      preset_config, run_checks, run_sweep)
+from .harness import (ConfigError, PRESETS, _parse_source, emit_report,
+                      load_config, preset_config, run_checks, run_sweep)
 from .information import DEFAULT_INFO_CUTOFF, mutual_information
 from .montecarlo import (RunConfig, RunMode, estimate_g2,
                          fit_gaussian_memory_tau_c, measure_power, run)
-from .sources import PAIR_KINDS, SourceKind, SourceSpec
-
-_KINDS = {
-    "uncorrelated": SourceKind.UNCORRELATED,
-    "split-thermal": SourceKind.SPLIT_THERMAL,
-    "correlated": SourceKind.CORRELATED,
-    "anti-correlated": SourceKind.ANTI_CORRELATED,
-}
+from .sources import SourceKind, SourceSpec
 
 
 def _resolve_seed(cli_seed, config_seed=None, default=1) -> int:
@@ -49,31 +43,15 @@ def _resolve_seed(cli_seed, config_seed=None, default=1) -> int:
     return config_seed if config_seed is not None else default
 
 
-def _spec_from_args(args) -> SourceSpec:
-    kind = _KINDS[args.kind]
-    if kind in PAIR_KINDS:
-        if args.s2 is None:
-            raise ConfigError(f"--s2 is required for kind {args.kind}")
-        if args.nbar is not None:
-            raise ConfigError(f"--nbar does not apply to kind {args.kind}")
-        if kind is SourceKind.ANTI_CORRELATED:
-            if args.v2 is None:
-                raise ConfigError("--v2 is required for kind anti-correlated")
-            return SourceSpec.anti_correlated(s2=args.s2, v2=args.v2)
-        if args.v2 is not None:
-            raise ConfigError(f"--v2 does not apply to kind {args.kind}")
-        return SourceSpec.correlated(s2=args.s2)
-    if args.nbar is None:
-        raise ConfigError(f"--nbar is required for kind {args.kind}")
-    if args.s2 is not None or args.v2 is not None:
-        raise ConfigError(f"--s2/--v2 do not apply to kind {args.kind}")
-    if kind is SourceKind.UNCORRELATED:
-        return SourceSpec.uncorrelated(args.nbar)
-    return SourceSpec.split_thermal(args.nbar)
+def _spec_from_args(args, needs_events: bool) -> SourceSpec:
+    fields = {key: getattr(args, key) for key in ("kind", "nbar", "s2", "v2")
+              if getattr(args, key) is not None}
+    return _parse_source(fields, "source", needs_events).spec
 
 
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", choices=sorted(_KINDS), required=True)
+    parser.add_argument("--kind", required=True, choices=sorted(
+        kind.value.replace("_", "-") for kind in SourceKind))
     parser.add_argument("--nbar", type=float, help="mean photons per arm")
     parser.add_argument("--s2", type=float, help="pair production strength")
     parser.add_argument("--v2", type=float, help="overlap of the pair modes")
@@ -103,8 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_flags(mc)
     mc.add_argument("--slots", type=int, default=1_000_000)
     mc.add_argument("--seed", type=int)
-    mc.add_argument("--mode", choices=[m.value for m in RunMode],
-                    default=RunMode.FEED_FORWARD.value)
+    mc.add_argument("--mode", choices=[m.value for m in RunMode])
     mc.add_argument("--dead-window", type=int, default=0,
                     help="switch freeze after a monitor click, in slots")
     mc.add_argument("--normalization", choices=[n.value for n in Normalization],
@@ -155,8 +132,7 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config) if args.config else preset_config(args.preset)
     seed = _resolve_seed(args.seed, config.seed)
     if seed != config.seed:
-        config = type(config)(seed, config.engine, config.slots,
-                              config.include_info, config.grid, config.sources)
+        config = dataclasses.replace(config, seed=seed)
     rows = run_sweep(config)
     stream, owned = _open_out(args.out)
     try:
@@ -168,10 +144,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, needs_events=True)
     seed = _resolve_seed(args.seed)
     r = math.sqrt(args.r2)
     if args.normalization:
+        # a power measurement runs its own feed-forward and cross legs
+        for flag, value in (("--mode", args.mode),
+                            ("--dead-window", args.dead_window)):
+            if value:
+                raise ConfigError(f"{flag} does not apply with --normalization")
         m = measure_power(spec, r, args.eps2, args.slots, seed,
                           args.normalization)
         payload = {"power": m.value, "power_stderr": m.stderr,
@@ -180,7 +161,7 @@ def _cmd_mc(args) -> int:
     else:
         result = run(RunConfig(spec=spec, r=r, eps2=args.eps2,
                                slots=args.slots, seed=seed,
-                               mode=RunMode(args.mode),
+                               mode=RunMode(args.mode or RunMode.FEED_FORWARD),
                                dead_window_slots=args.dead_window))
         payload = result.to_json_dict()
     _emit(json.dumps(payload, indent=2) + "\n", args.out)
@@ -188,7 +169,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, needs_events=False)
     result = mutual_information(spec, math.sqrt(args.r2), args.eps2,
                                 cutoff=args.cutoff)
     payload = {"mutual_info_bits": result.mutual_info_bits,

@@ -42,117 +42,34 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class MeanPhotonNumber:
-    """Mean occupation of a thermal mode.  Warns outside the low-photon regime."""
-
-    nbar: float
-
-    def __post_init__(self) -> None:
-        nbar = float(self.nbar)
-        if nbar < 0 or not math.isfinite(nbar):
-            raise ValueError(f"mean photon number must be finite and >= 0, got {nbar!r}")
-        object.__setattr__(self, "nbar", nbar)
-        if nbar > LOW_PHOTON_LIMIT:
-            warnings.warn(
-                f"mean photon number {nbar:g} exceeds {LOW_PHOTON_LIMIT:g}; "
-                "closed-form power laws are first-order in nbar and degrade here",
-                LowPhotonRegimeWarning,
-                stacklevel=2,
-            )
-
-    @property
-    def in_low_photon_regime(self) -> bool:
-        return self.nbar <= LOW_PHOTON_LIMIT
-
-    def __float__(self) -> float:
-        return self.nbar
-
-
-@dataclass(frozen=True)
-class ReflectionAmplitude:
-    """Tap beamsplitter amplitude ``r``; the routing probability is ``r**2``."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _check_unit_interval("reflection amplitude", self.r))
-
-    @classmethod
-    def from_reflectivity(cls, r2: float) -> "ReflectionAmplitude":
-        return cls(math.sqrt(_check_unit_interval("reflectivity", r2)))
-
-    @property
-    def r2(self) -> float:
-        return self.r * self.r
-
-    def __float__(self) -> float:
-        return self.r
-
-
-@dataclass(frozen=True)
-class CouplingEfficiency:
-    """Intensity survival probability ``eps2`` of the lossy coupling."""
-
-    eps2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps2", _check_unit_interval("coupling efficiency", self.eps2))
-
-    def __float__(self) -> float:
-        return self.eps2
-
-
-@dataclass(frozen=True)
-class Visibility:
-    """Two-photon interference visibility ``v2`` of the pair-bunching stage."""
-
-    v2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "v2", _check_unit_interval("visibility", self.v2))
-
-    def __float__(self) -> float:
-        return self.v2
-
-
-@dataclass(frozen=True)
-class SqueezingParameter:
-    """Down-conversion strength ``s``; the implied thermal mean is ``sinh(s)**2``."""
-
-    s: float
-
-    def __post_init__(self) -> None:
-        s = float(self.s)
-        if s < 0 or not math.isfinite(s):
-            raise ValueError(f"squeezing parameter must be finite and >= 0, got {s!r}")
-        object.__setattr__(self, "s", s)
-
-    @property
-    def nbar(self) -> float:
-        return math.sinh(self.s) ** 2
-
-    def __float__(self) -> float:
-        return self.s
-
-
 def as_nbar(value) -> float:
-    """Coerce a number or MeanPhotonNumber to a validated float."""
-    return MeanPhotonNumber(float(value)).nbar
+    """Validate a mean photon number.  Warns outside the low-photon regime."""
+    nbar = float(value)
+    if nbar < 0 or not math.isfinite(nbar):
+        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar!r}")
+    if nbar > LOW_PHOTON_LIMIT:
+        warnings.warn(
+            f"mean photon number {nbar:g} exceeds {LOW_PHOTON_LIMIT:g}; "
+            "closed-form power laws are first-order in nbar and degrade here",
+            LowPhotonRegimeWarning,
+            stacklevel=2,
+        )
+    return nbar
 
 
 def as_amplitude(value) -> float:
-    if isinstance(value, ReflectionAmplitude):
-        return value.r
-    return ReflectionAmplitude(float(value)).r
+    """Validate a tap amplitude ``r``; the routing probability is ``r**2``."""
+    return _check_unit_interval("reflection amplitude", value)
 
 
 def as_efficiency(value) -> float:
-    return CouplingEfficiency(float(value)).eps2
+    """Validate an intensity survival probability ``eps2``."""
+    return _check_unit_interval("coupling efficiency", value)
 
 
 def as_visibility(value) -> float:
-    return Visibility(float(value)).v2
+    """Validate a two-photon interference visibility ``v2``."""
+    return _check_unit_interval("visibility", value)
 
 
 @dataclass(frozen=True)
@@ -242,11 +159,6 @@ class JointOccupationDistribution:
             key = tuple(occ[i] for i in idx)
             out[key] = out.get(key, 0.0) + p
         return JointOccupationDistribution(keep, out, self.cutoff, self.lost_mass)
-
-    def renamed(self, mapping: Mapping[str, str]) -> "JointOccupationDistribution":
-        labels = tuple(mapping.get(label, label) for label in self.mode_labels)
-        return JointOccupationDistribution(labels, dict(self.entries), self.cutoff,
-                                           self.lost_mass)
 
     def product(self, other: "JointOccupationDistribution",
                 cutoff: int | None = None) -> "JointOccupationDistribution":

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,14 +81,6 @@ class SweepConfig:
     sources: tuple[SourceSeries, ...]
 
 
-_KIND_ALIASES = {
-    "uncorrelated": SourceKind.UNCORRELATED,
-    "split_thermal": SourceKind.SPLIT_THERMAL,
-    "correlated": SourceKind.CORRELATED,
-    "anti_correlated": SourceKind.ANTI_CORRELATED,
-}
-
-
 def _parse_source(data, path: str, needs_events: bool) -> SourceSeries:
     if not isinstance(data, dict):
         raise _fail(path, "each source must be an object")
@@ -99,11 +92,12 @@ def _parse_source(data, path: str, needs_events: bool) -> SourceSeries:
     kind_raw = data.get("kind")
     if not isinstance(kind_raw, str):
         raise _fail(f"{path}.kind", "required field is missing or not a string")
-    kind = _KIND_ALIASES.get(kind_raw.replace("-", "_").lower())
-    if kind is None:
+    try:
+        kind = SourceKind(kind_raw.replace("-", "_").lower())
+    except ValueError:
         raise _fail(f"{path}.kind",
                     f"unknown kind {kind_raw!r}; expected one of "
-                    f"{sorted(_KIND_ALIASES)}")
+                    f"{sorted(k.value for k in SourceKind)}") from None
     drop_vacuum = data.get("drop_vacuum", False)
     if not isinstance(drop_vacuum, bool):
         raise _fail(f"{path}.drop_vacuum", "expected true or false")
@@ -333,15 +327,13 @@ def _closed_form(series: SourceSeries, r: float) -> float:
                              nbar=spec.nbar, eps2=series.eps2, v2=spec.v2)
 
 
-def run_sweep(config: SweepConfig, warn=None) -> list[ReportRow]:
+def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Produce one report row per source per grid point.
 
     When both engines run, a Monte Carlo point further than three standard
     errors from the closed form (plus the documented quadratic allowance
-    for the thermal closed form) is reported through ``warn``.
+    for the thermal closed form) issues a ``UserWarning``.
     """
-    if warn is None:
-        warn = lambda msg: print(msg, file=sys.stderr)
     want_analytic = config.engine in ("analytic", "both")
     want_mc = config.engine in ("montecarlo", "both")
     rows = []
@@ -363,9 +355,9 @@ def run_sweep(config: SweepConfig, warn=None) -> list[ReportRow]:
                 if series.spec.kind is SourceKind.UNCORRELATED:
                     allowance += 5.0 * series.spec.nbar ** 2
                 if abs(mc - analytic) > allowance:
-                    warn(f"warning: {series.name} at r2={r2:.6g}: simulated "
-                         f"{mc:.6g} vs closed form {analytic:.6g} exceeds "
-                         f"{allowance:.3g}")
+                    warnings.warn(f"{series.name} at r2={r2:.6g}: simulated "
+                                  f"{mc:.6g} vs closed form {analytic:.6g} "
+                                  f"exceeds {allowance:.3g}", stacklevel=2)
             info = None
             if config.include_info:
                 info = mutual_information(series.spec, r,
@@ -577,8 +569,6 @@ def _check_info_ordering(quick: bool):
 
 
 def _check_g2(quick: bool):
-    import warnings
-
     from .fock import LowPhotonRegimeWarning
     from .montecarlo import estimate_g2
 

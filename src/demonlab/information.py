@@ -34,32 +34,6 @@ class InfoResult:
     joint: dict[tuple[ClickKey, PhotonKey], float]
 
 
-def conditional_click_pmf(m: int, n: int, r, eps2) -> float:
-    """Probability of ``m`` monitor detections given ``n`` incident photons.
-
-    Sums over the number ``k`` of photons surviving the loss::
-
-        p(m | n) = sum_{k=m}^{n} n! * eps2**k * (1 - eps2)**(n - k)
-                   * (r**2)**m * (1 - r**2)**(k - m)
-                   / (m! * (n - k)! * (k - m)!)
-
-    which is thinning by ``eps2`` followed by a binomial tap split.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("photon numbers must be >= 0")
-    if m > n:
-        return 0.0
-    r = as_amplitude(r)
-    eps2 = as_efficiency(eps2)
-    r2 = r * r
-    total = 0.0
-    for k in range(m, n + 1):
-        total += (math.factorial(n) * eps2 ** k * (1.0 - eps2) ** (n - k)
-                  * r2 ** m * (1.0 - r2) ** (k - m)
-                  / (math.factorial(m) * math.factorial(n - k) * math.factorial(k - m)))
-    return total
-
-
 def _arm_routing(n: int, r2: float, eps2: float) -> dict[tuple[int, bool], float]:
     """Joint pmf of (kept photons, monitor click) for one arm with n incident."""
     out: dict[tuple[int, bool], float] = {}

@@ -183,7 +183,3 @@ def delta_n(p_a: float, p_b: float, gamma: float = 1.0) -> float:
         raise ValueError("gamma must be >= 0")
     return gamma * (p_a - p_b)
 
-
-def mean_output_photons(outcome: DemonOutcome) -> float:
-    """Expected total photon number reaching the two output detectors."""
-    return (outcome.dist.mean_photons(OUT_A) + outcome.dist.mean_photons(OUT_B))

@@ -10,14 +10,11 @@ import math
 import pytest
 
 from demonlab.analytics import (
-    DeltaNEstimate,
     Normalization,
     PeakPower,
     closed_form_power,
-    construct_delta_n,
     peak_enhancement_ratio,
     peak_power,
-    power_curve,
 )
 from demonlab.protocol import canonical_policy, detector_probs, propagate
 from demonlab.sources import SourceKind, SourceSpec, make_source
@@ -144,17 +141,6 @@ def test_pipeline_matches_closed_form_for_thermal_kinds():
         assert abs(split) < 1e-12
 
 
-def test_construct_delta_n():
-    est = construct_delta_n(0.0, 0.1, 0.5)
-    assert est == DeltaNEstimate(0.4, True)
-    est = construct_delta_n(0.2, 0.1, 0.5, bar_stderr=0.01)
-    assert est.value == pytest.approx(0.4)
-    assert not est.bar_balanced
-    assert construct_delta_n(0.02, 0.1, 0.5, bar_stderr=0.01).bar_balanced
-    with pytest.raises(ValueError):
-        construct_delta_n(0.0, 0.0, 0.0, bar_stderr=-1.0)
-
-
 def test_peak_power_cases():
     peak = peak_power(SourceKind.CORRELATED, Normalization.PAIRS)
     assert peak == PeakPower(0.5, pytest.approx(0.5))
@@ -165,18 +151,6 @@ def test_peak_power_cases():
     assert abs(anti.value - 0.37) < 1e-12
     null = peak_power(SourceKind.ANTI_CORRELATED, Normalization.PAIRS, v2=0.5)
     assert null == PeakPower(None, 0.0)
-
-
-def test_power_curve_samples_match_closed_form():
-    curve = power_curve(SourceKind.UNCORRELATED, Normalization.SINGLES,
-                        R2_GRID, nbar=0.05)
-    assert curve.kind is SourceKind.UNCORRELATED
-    assert curve.params == {"nbar": 0.05}
-    assert len(curve.samples) == len(R2_GRID)
-    for r2, value in curve.samples:
-        want = closed_form_power(SourceKind.UNCORRELATED, Normalization.SINGLES,
-                                 math.sqrt(r2), nbar=0.05)
-        assert abs(value - want) < 1e-15
 
 
 def test_peak_enhancement_ratio_frozen():

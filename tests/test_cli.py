@@ -89,10 +89,32 @@ def test_mc_seed_repeatability(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+# One input per branch of the source checks, each naming the field at fault.
+_ARGUMENT_ERRORS = [
+    (["mc", "--kind", "correlated"], "s2"),
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--nbar", "0.05"], "nbar"),
+    (["mc", "--kind", "anti-correlated", "--s2", "0.01"], "v2"),
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--v2", "0.87"], "v2"),
+    (["mc", "--kind", "split-thermal"], "nbar"),
+    (["mc", "--kind", "uncorrelated", "--nbar", "0.05", "--s2", "0.01"], "s2"),
+    (["info", "--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87",
+      "--nbar", "0.05"], "nbar"),
+    # a power measurement runs its own legs; these flags would be ignored
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--normalization", "pairs",
+      "--dead-window", "50"], "--dead-window"),
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--normalization", "pairs",
+      "--mode", "bar"], "--mode"),
+]
+
+
 def test_mc_argument_errors(capsys):
     assert main(["mc", "--kind", "correlated", "--nbar", "0.05"]) == 2
     assert main(["mc", "--kind", "uncorrelated", "--nbar", "0.05",
                  "--normalization", "pairs"]) == 2
+    capsys.readouterr()
+    for argv, field in _ARGUMENT_ERRORS:
+        assert main(argv) == 2, argv
+        assert field in capsys.readouterr().err, argv
 
 
 def test_seed_env_fallback_and_flag_priority(tmp_path, monkeypatch):

@@ -190,11 +190,11 @@ def test_run_sweep_is_deterministic():
 
 
 def test_run_sweep_warn_hook(monkeypatch):
-    messages = []
     data = _minimal(engine="both", slots=50_000, grid=[0.5])
     monkeypatch.setattr(harness, "_closed_form", lambda series, r: 99.0)
-    run_sweep(parse_sweep_config(data), warn=messages.append)
-    assert messages, "a wildly wrong closed form must trip the cross-check"
+    # a wildly wrong closed form must trip the cross-check
+    with pytest.warns(UserWarning, match="vs closed form 99 exceeds"):
+        run_sweep(parse_sweep_config(data))
 
 
 def _sample_rows():

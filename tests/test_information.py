@@ -6,7 +6,6 @@ import pytest
 
 from demonlab.information import (
     DEFAULT_INFO_CUTOFF,
-    conditional_click_pmf,
     mutual_information,
     mutual_information_of_joint,
 )
@@ -14,31 +13,6 @@ from demonlab.protocol import ALL_BAR, TABLE_PAIR, propagate
 from demonlab.sources import SourceSpec, make_source
 
 R_HALF = math.sqrt(0.5)
-
-
-def test_conditional_click_pmf_edge_cases():
-    assert conditional_click_pmf(0, 0, 0.5, 0.14) == 1.0
-    assert conditional_click_pmf(3, 2, 0.5, 0.14) == 0.0
-    with pytest.raises(ValueError):
-        conditional_click_pmf(-1, 2, 0.5, 0.14)
-    with pytest.raises(ValueError):
-        conditional_click_pmf(0, -2, 0.5, 0.14)
-
-
-def test_conditional_click_pmf_is_composed_binomial():
-    """Loss then tap collapses to one binomial with success eps2 * r**2."""
-    r, eps2 = 0.6, 0.37
-    q = eps2 * r * r
-    for n in range(7):
-        for m in range(n + 1):
-            want = math.comb(n, m) * q ** m * (1.0 - q) ** (n - m)
-            assert abs(conditional_click_pmf(m, n, r, eps2) - want) < 1e-13
-
-
-def test_conditional_click_pmf_normalizes():
-    for n in range(9):
-        total = math.fsum(conditional_click_pmf(m, n, 0.7, 0.5) for m in range(n + 1))
-        assert abs(total - 1.0) < 1e-12
 
 
 def test_heralded_pair_at_balanced_tap_reveals_two_bits():
