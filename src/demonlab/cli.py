@@ -49,6 +49,12 @@ def _spec_from_args(args, needs_events: bool) -> SourceSpec:
     return _parse_source(fields, "source", needs_events).spec
 
 
+def _tap_amplitude(r2: float) -> float:
+    if not 0.0 <= r2 <= 1.0:
+        raise ConfigError(f"--r2 must lie in [0, 1], got {r2!r}")
+    return math.sqrt(r2)
+
+
 def _add_source_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kind", required=True, choices=sorted(
         kind.value.replace("_", "-") for kind in SourceKind))
@@ -146,7 +152,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_mc(args) -> int:
     spec = _spec_from_args(args, needs_events=True)
     seed = _resolve_seed(args.seed)
-    r = math.sqrt(args.r2)
+    r = _tap_amplitude(args.r2)
     if args.normalization:
         # a power measurement runs its own feed-forward and cross legs
         for flag, value in (("--mode", args.mode),
@@ -170,7 +176,7 @@ def _cmd_mc(args) -> int:
 
 def _cmd_info(args) -> int:
     spec = _spec_from_args(args, needs_events=False)
-    result = mutual_information(spec, math.sqrt(args.r2), args.eps2,
+    result = mutual_information(spec, _tap_amplitude(args.r2), args.eps2,
                                 cutoff=args.cutoff)
     payload = {"mutual_info_bits": result.mutual_info_bits,
                "click_entropy_bits": result.click_entropy_bits}
@@ -189,7 +195,11 @@ def _cmd_g2(args) -> int:
         warnings.simplefilter("ignore", LowPhotonRegimeWarning)
         spec = SourceSpec.uncorrelated(args.nbar)
     seed = _resolve_seed(args.seed)
-    taus = [int(t) for t in args.taus.split(",") if t.strip()]
+    try:
+        taus = [int(t) for t in args.taus.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"--taus: expected comma-separated integers, "
+                          f"got {args.taus!r}") from None
     samples = estimate_g2(spec, args.slots, seed, taus, model=args.model,
                           tau_c=args.tau_c)
     payload = {"model": args.model,

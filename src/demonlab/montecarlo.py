@@ -1,17 +1,39 @@
-"""Slot-by-slot event simulation of the demon experiment.
+"""Event simulation of the demon experiment, drawing only occupied slots.
 
-Each detection slot draws an input occupation pair from the bath, thins it
-through the arm efficiencies, the balancing trims, and the coupling loss,
-splits the survivors binomially at the taps, forms non-number-resolving
-clicks, and routes the kept photons through the switch.  Slots are
-independent draws; the only cross-slot state is the switch itself when a
-response dead window is simulated.
+A detection slot is occupied when the bath puts at least one photon into
+either arm.  At the paper's operating points 91-99% of slots are empty, and
+an empty slot touches no tally, so the engine never draws one.  Each block
+of ``BLOCK`` slots draws its occupied count ``k ~ Binomial(size, 1 - p_vac)``
+and then ``k`` input pairs from the bath's law conditioned on not being
+vacuum.
 
-Determinism: a run is a pure function of its config.  Slots are processed
-in fixed blocks of ``BLOCK`` and every block consumes its own child of
-``numpy.random.SeedSequence(seed)``, so results do not depend on how the
-blocks are scheduled and can be sharded by block without changing a single
-tally.  Merging shards is plain summation.
+Every photon of an occupied arm meets one of three fates, the oracle's own
+model: lost (upstream loss, arm efficiency and balancing trim), tapped onto
+the arm's monitor detector, or kept for the switch.  With survival ``surv``
+the tapped count is ``Binomial(n, surv * r**2)`` and the kept count
+``Binomial(n - tapped, surv * (1 - r**2) / (1 - surv * r**2))``.  Monitor
+and output detectors click on any occupation, and the switch routes the
+kept photons by the monitor click pattern.
+
+Draw order is part of correctness.  In every mode a block draws ``k``, then
+the occupations, then the fates of arm A, then those of arm B.  Same-seed
+bar, cross, feed-forward and dead-window runs therefore see the same
+photons: they give identical ``n_a + n_b`` and ``coincidences``, and the
+switch only relabels the arms.
+
+A response dead window freezes the switch for ``dead_window_slots`` slots
+after an effective monitor click, in the state that click chose.  Only
+dead-window runs need slot positions.  They draw the sorted positions of
+the occupied slots after the fates, walk only the clicks to find the
+effective ones, and carry the last effective click into the next block, so
+a window that crosses a block boundary keeps its held state.
+
+Determinism: a run is a pure function of its config.  Every block consumes
+its own child of ``numpy.random.SeedSequence(seed)``.  Runs without a dead
+window are independent per block, so they can be sharded by block and the
+shards merged by summation; dead-window runs carry switch state from block
+to block and cannot.  ``STREAM_VERSION`` names the stream a seed yields; it
+goes up whenever a change alters the tallies of any seed.
 
 Counting conventions, chosen to mirror how the hardware is read out:
 
@@ -38,6 +60,9 @@ from .protocol import ClickPattern, Policy, SwitchState, canonical_policy
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, _pair_weights
 
 BLOCK = 1 << 16
+
+#: Version of the random stream a seed yields; recorded in every result.
+STREAM_VERSION = 2
 
 MIN_G2_SLOTS = 100_000
 
@@ -106,25 +131,94 @@ class RunResult:
     def to_json_dict(self) -> dict:
         d = self.__dict__.copy()
         d["mode"] = self.mode.value
+        d["stream_version"] = STREAM_VERSION
         return d
 
 
-def _draw_inputs(rng: np.random.Generator, spec: SourceSpec, size: int):
+def _occupied_sampler(spec: SourceSpec):
+    """The bath's vacuum probability, and a draw of occupied input pairs.
+
+    ``draw(rng, k)`` returns ``k`` pairs ``(n_a, n_b)`` from the bath's law
+    conditioned on at least one photon.
+    """
     if spec.kind is SourceKind.UNCORRELATED:
-        p = 1.0 / (1.0 + spec.nbar)
-        return rng.geometric(p, size) - 1, rng.geometric(p, size) - 1
+        p = 1.0 / (1.0 + spec.nbar)  # geometric success probability, 1 - q
+        q = 1.0 - p
+
+        def draw(rng, k):
+            # P(arm A occupied | not vacuum) = q / (1 - (1 - q)**2)
+            a_occupied = rng.random(k) < 1.0 / (2.0 - q)
+            lead = rng.geometric(p, k)  # thermal conditioned on >= 1
+            other = rng.geometric(p, k) - 1
+            return np.where(a_occupied, lead, 0), np.where(a_occupied, other, lead)
+
+        return p * p, draw
     if spec.kind is SourceKind.SPLIT_THERMAL:
-        tot = rng.geometric(1.0 / (1.0 + 2.0 * spec.nbar), size) - 1
-        n_a = rng.binomial(tot, 0.5)
-        return n_a, tot - n_a
+        p = 1.0 / (1.0 + 2.0 * spec.nbar)
+
+        def draw(rng, k):
+            tot = rng.geometric(p, k)
+            n_a = rng.binomial(tot, 0.5)
+            return n_a, tot - n_a
+
+        return p, draw
     weights = _pair_weights(spec)
+    p_vac = weights.pop((0, 0))
     occs = sorted(weights)
+    if not occs:  # s = 0: every slot is vacuum and nothing is drawn
+        return p_vac, None
     cum = np.cumsum([weights[o] for o in occs])
+    cum /= cum[-1]
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    arr_a = np.array([o[0] for o in occs])
-    arr_b = np.array([o[1] for o in occs])
-    return arr_a[idx], arr_b[idx]
+    arr_a = np.array([o[0] for o in occs], dtype=np.int64)
+    arr_b = np.array([o[1] for o in occs], dtype=np.int64)
+
+    def draw(rng, k):
+        idx = np.searchsorted(cum, rng.random(k), side="right")
+        return arr_a[idx], arr_b[idx]
+
+    return p_vac, draw
+
+
+def _fate_probabilities(survival: float, r2: float) -> tuple[float, float]:
+    """Per-photon tap probability, and keep probability given not tapped."""
+    tap = survival * r2
+    if tap >= 1.0:
+        return tap, 0.0
+    return tap, min(1.0, survival * (1.0 - r2) / (1.0 - tap))
+
+
+def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
+                        window: int, carry: tuple[int, bool]):
+    """Switch state of each occupied slot of one block under a dead window.
+
+    ``slots`` holds the sorted absolute indices of the block's occupied
+    slots, ``clicked`` whether each saw a monitor click, and ``own`` the
+    state the policy picks for each slot's own click pattern.  A click is
+    effective when it comes at least ``window + 1`` slots after the last
+    effective click: the switch takes its state and holds it for the next
+    ``window`` slots.  A click inside a held window is suppressed.
+    ``carry`` is ``(slot, state)`` of the last effective click before this
+    block; ``(-window - 1, False)`` before the first.
+
+    Returns the state of each occupied slot, the number of suppressed
+    clicks, and the carry for the next block.
+    """
+    last, held = carry
+    click_slots = slots[clicked]
+    effective = []
+    free_from = last + 1 + window
+    for j, slot in enumerate(click_slots.tolist()):
+        if slot >= free_from:
+            effective.append(j)
+            free_from = slot + 1 + window
+    eff_slots = np.concatenate(([last], click_slots[effective]))
+    eff_states = np.concatenate(([held], own[clicked][effective]))
+    latest = np.searchsorted(eff_slots, slots, side="right") - 1
+    frozen = slots <= eff_slots[latest] + window
+    states = np.where(frozen, eff_states[latest], own)
+    carry = (int(eff_slots[-1]), bool(eff_states[-1]))
+    return states, len(click_slots) - len(effective), carry
 
 
 def _swap_lookup(policy: Policy) -> np.ndarray:
@@ -141,60 +235,56 @@ def run(config: RunConfig) -> RunResult:
     spec, mode = config.spec, config.mode
     policy = config.policy or canonical_policy(spec.kind)
     r2 = config.r * config.r
-    surv_a = config.eps2 * config.arm_trim[0] * config.arm_efficiency[0]
-    surv_b = config.eps2 * config.arm_trim[1] * config.arm_efficiency[1]
+    tap_a, keep_a = _fate_probabilities(
+        config.eps2 * config.arm_trim[0] * config.arm_efficiency[0], r2)
+    tap_b, keep_b = _fate_probabilities(
+        config.eps2 * config.arm_trim[1] * config.arm_efficiency[1], r2)
     swap_table = _swap_lookup(policy)
+    p_vac, draw_occupied = _occupied_sampler(spec)
+    window = config.dead_window_slots if mode is RunMode.FEED_FORWARD else 0
 
     n_blocks = (config.slots + BLOCK - 1) // BLOCK
     children = np.random.SeedSequence(config.seed).spawn(n_blocks)
 
     tally_a = tally_b = single_sided = coincidences = suppressed = 0
-    frozen_until = -1  # absolute slot index, dead-window state
-    base = 0
+    carry = (-window - 1, False)  # last effective click, dead-window state
     for i in range(n_blocks):
+        base = i * BLOCK
         size = min(BLOCK, config.slots - base)
         rng = np.random.Generator(np.random.PCG64(children[i]))
-        n_a, n_b = _draw_inputs(rng, spec, size)
-        surv_na = rng.binomial(n_a, surv_a)
-        surv_nb = rng.binomial(n_b, surv_b)
-        dem_a = rng.binomial(surv_na, r2)
-        dem_b = rng.binomial(surv_nb, r2)
-        kept_a = surv_na - dem_a
-        kept_b = surv_nb - dem_b
+        k = int(rng.binomial(size, 1.0 - p_vac))
+        if k == 0:
+            continue
+        n_a, n_b = draw_occupied(rng, k)
+        dem_a = rng.binomial(n_a, tap_a)
+        kept_a = rng.binomial(n_a - dem_a, keep_a) > 0
+        dem_b = rng.binomial(n_b, tap_b)
+        kept_b = rng.binomial(n_b - dem_b, keep_b) > 0
         click_a = dem_a > 0
         click_b = dem_b > 0
 
         if mode is RunMode.BAR:
-            swap = np.zeros(size, dtype=bool)
+            out_a, out_b = kept_a, kept_b
         elif mode is RunMode.CROSS:
-            swap = np.ones(size, dtype=bool)
-        elif config.dead_window_slots == 0:
-            swap = swap_table[click_a.astype(np.intp), click_b.astype(np.intp)]
+            out_a, out_b = kept_b, kept_a
         else:
-            swap = np.empty(size, dtype=bool)
-            ca_list = click_a.astype(int).tolist()
-            cb_list = click_b.astype(int).tolist()
-            current = False
-            for t in range(size):
-                slot = base + t
-                if slot >= frozen_until:
-                    current = bool(swap_table[ca_list[t], cb_list[t]])
-                    if ca_list[t] or cb_list[t]:
-                        frozen_until = slot + 1 + config.dead_window_slots
-                elif ca_list[t] or cb_list[t]:
-                    suppressed += 1
-                swap[t] = current
+            swap = swap_table[click_a.astype(np.intp), click_b.astype(np.intp)]
+            if window:
+                slots = base + np.sort(rng.choice(size, k, replace=False))
+                swap, lost, carry = _dead_window_states(
+                    slots, click_a | click_b, swap, window, carry)
+                suppressed += lost
+            out_a = np.where(swap, kept_b, kept_a)
+            out_b = np.where(swap, kept_a, kept_b)
 
-        out_a = np.where(swap, kept_b, kept_a)
-        out_b = np.where(swap, kept_a, kept_b)
-        oa = out_a > 0
-        ob = out_b > 0
-        tally_a += int(oa.sum())
-        tally_b += int(ob.sum())
-        single_sided += int((oa ^ ob).sum())
-        coincidences += int((oa & click_a).sum() + (oa & click_b).sum()
-                            + (ob & click_a).sum() + (ob & click_b).sum())
-        base += size
+        tally_a += int(np.count_nonzero(out_a))
+        tally_b += int(np.count_nonzero(out_b))
+        # the switch permutes the kept photons, so these need no routing
+        single_sided += int(np.count_nonzero(kept_a ^ kept_b))
+        coincidences += int(np.count_nonzero(kept_a & click_a)
+                            + np.count_nonzero(kept_a & click_b)
+                            + np.count_nonzero(kept_b & click_a)
+                            + np.count_nonzero(kept_b & click_b))
 
     delta = tally_a - tally_b
     stderr = math.sqrt(max(single_sided - delta * delta / config.slots, 0.0))
@@ -225,9 +315,11 @@ def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
     """Feed-forward minus cross power, normalized by singles or pairs.
 
     The two acquisitions use independently derived seeds and their
-    statistical errors combine in quadrature.  The normalization
-    denominator is read off the cross run, where the feed-forward is
-    inactive; its relative noise is negligible next to the imbalance noise.
+    imbalance errors combine in quadrature.  The normalization denominator
+    is read off the cross run, where the feed-forward is inactive.  It is a
+    count too, and for pair normalization its noise is far from negligible,
+    so the delta method adds its share, ``value / sqrt(count)``; ``count``
+    is the cross run's coincidences for pairs, its output clicks for singles.
     """
     from .analytics import Normalization
 
@@ -240,10 +332,15 @@ def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
     ff = run(RunConfig(mode=RunMode.FEED_FORWARD, seed=_derived_seed(seed, 2), **common))
     delta = ff.delta_n - cross.delta_n
     sigma = math.hypot(ff.stderr_delta_n, cross.stderr_delta_n)
-    denom = cross.n_in_est if normalization is Normalization.SINGLES else cross.pairs_est
+    if normalization is Normalization.SINGLES:
+        denom, count = cross.n_in_est, cross.n_a + cross.n_b
+    else:
+        denom, count = cross.pairs_est, cross.coincidences
     if not denom or denom <= 0:
         raise ValueError("normalization denominator is zero; nothing was detected")
-    return PowerMeasurement(delta / denom, sigma / denom, ff, cross)
+    value = delta / denom
+    return PowerMeasurement(value, math.hypot(sigma / denom, value / math.sqrt(count)),
+                            ff, cross)
 
 
 def calibrate_balance(config: RunConfig, max_iters: int = 40
@@ -307,7 +404,11 @@ def _gaussian_memory_stream(rng: np.random.Generator, nbar: float, slots: int,
     total = slots + 2 * pad
     field = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / math.sqrt(2.0)
     smooth = np.convolve(field, kernel, mode="same")[pad:-pad]
-    intensity = np.abs(smooth) ** 2 * (nbar / float(np.sum(kernel ** 2)))
+    del field
+    intensity = np.abs(smooth)
+    del smooth
+    intensity **= 2
+    intensity *= nbar / float(np.sum(kernel ** 2))
     return rng.poisson(intensity)
 
 
@@ -347,10 +448,9 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
         raise ValueError("stream is empty; raise nbar or slots")
     out = []
     for tau in taus:
-        if tau == 0:
-            num = float(np.mean(half_1 * half_2))
-        else:
-            num = float(np.mean(half_1[:-tau] * half_2[tau:]))
+        a, b = (half_1, half_2) if tau == 0 else (half_1[:-tau], half_2[tau:])
+        # an exact integer dot product, with no slot-sized temporary
+        num = int(np.dot(a, b)) / a.size
         out.append((tau, num / (mean_1 * mean_2)))
     return out
 

@@ -104,6 +104,11 @@ _ARGUMENT_ERRORS = [
       "--dead-window", "50"], "--dead-window"),
     (["mc", "--kind", "correlated", "--s2", "0.01", "--normalization", "pairs",
       "--mode", "bar"], "--mode"),
+    # reflectivities outside [0, 1] and malformed delays name their flag
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "1.5"], "--r2"),
+    (["info", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
+    (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
 ]
 
 
