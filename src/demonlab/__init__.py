@@ -14,7 +14,7 @@ from .fock import JointOccupationDistribution, beamsplitter_split, loss_channel,
 from .information import mutual_information
 from .montecarlo import RunConfig, RunMode, RunResult, calibrate_balance, estimate_g2, measure_power, run
 from .oracle import enumerate_outcomes
-from .protocol import ClickPattern, Policy, SwitchState, TABLE_PAIR, TABLE_THERMAL, canonical_policy, propagate
+from .protocol import ClickPattern, Policy, SwitchState, TABLE_PAIR, TABLE_THERMAL, arm_kernel, canonical_policy, expected_power, propagate
 from .sources import SourceKind, SourceSpec, make_source
 
 __version__ = "0.1.0"
@@ -33,12 +33,14 @@ __all__ = [
     "TABLE_PAIR",
     "TABLE_THERMAL",
     "__version__",
+    "arm_kernel",
     "beamsplitter_split",
     "calibrate_balance",
     "canonical_policy",
     "closed_form_power",
     "enumerate_outcomes",
     "estimate_g2",
+    "expected_power",
     "loss_channel",
     "make_source",
     "measure_power",

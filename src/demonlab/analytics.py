@@ -4,17 +4,18 @@ All curves share the tap factor ``r**2 * (1 - r**2)``: no power without a
 monitor tap, no power when everything is tapped.  Writing ``R2 = r**2``:
 
 * uncorrelated thermal, per input single:
-  ``2 * nbar / (1 - nbar)**2 * R2 * (1 - R2)`` (valid for ``nbar < 1``)
+  ``2 * m / (1 - m)**2 * R2 * (1 - R2)`` at the surviving mean
+  ``m = eps2 * nbar`` (``eps2`` defaults to 1; valid for ``m < 1``)
 * split thermal: identically 0 at every reflectivity
 * cross-mode pairs, per single: ``2 * eps2 * R2 * (1 - R2)``;
   per pair: ``2 * R2 * (1 - R2)``
 * bunched pairs, per single: ``2 * eps2 * (2 * v2 - 1) * R2 * (1 - R2)``;
   per pair: ``2 * (2 * v2 - 1) * R2 * (1 - R2)``
 
-The thermal law is first order in ``nbar``: the event-level pipeline and
-Monte Carlo drift below it by an O(nbar**2) amount (about 6 * R2 * (1-R2)
-* nbar**2), which callers comparing the two must allow for.  The pair laws
-are exact for the two-photon truncated sources.
+The thermal law is first order in ``nbar``.  The exact reference for a
+simulated power is ``protocol.expected_power``, the all-orders expectation
+of the Monte Carlo estimator; checks compare the simulation with it, not
+with these laws.
 """
 from __future__ import annotations
 
@@ -56,9 +57,10 @@ def closed_form_power(kind: SourceKind, normalization: Normalization, r, *,
     if kind is SourceKind.UNCORRELATED:
         if nbar is None:
             raise ValueError("uncorrelated power requires nbar")
-        nbar = as_nbar(nbar)
+        # the loss thins each thermal arm to another thermal arm
+        nbar = as_nbar(nbar) * (1.0 if eps2 is None else as_efficiency(eps2))
         if nbar >= 1.0:
-            raise ValueError(f"closed form diverges at nbar >= 1, got {nbar}")
+            raise ValueError(f"closed form diverges at eps2 * nbar >= 1, got {nbar}")
         return 2.0 * nbar / (1.0 - nbar) ** 2 * tap
 
     if kind is SourceKind.CORRELATED:

@@ -165,6 +165,8 @@ def _cmd_mc(args) -> int:
                    "feed_forward": m.feed_forward.to_json_dict(),
                    "cross": m.cross.to_json_dict()}
     else:
+        if args.dead_window and args.mode in (RunMode.BAR, RunMode.CROSS):
+            raise ConfigError(f"--dead-window does not apply with --mode {args.mode}")
         result = run(RunConfig(spec=spec, r=r, eps2=args.eps2,
                                slots=args.slots, seed=seed,
                                mode=RunMode(args.mode or RunMode.FEED_FORWARD),

@@ -7,10 +7,11 @@ plain probability table truncated at a total photon number is an exact
 representation of the states we care about, with the truncated tail
 tracked explicitly as ``lost_mass``.
 
-Two channels cover all the optics used downstream: a tap beamsplitter that
-routes each photon independently into a new mode with probability ``r**2``,
-and a loss channel (binomial thinning with survival ``eps2``) that either
-discards the lost photons or parks them in an explicit loss mode.
+Two channels act on such tables: a tap beamsplitter that routes each
+photon independently into a new mode with probability ``r**2``, and a loss
+channel (binomial thinning with survival ``eps2``) that either discards the
+lost photons or parks them in an explicit loss mode.  The demon pipeline
+itself uses the per-arm kernel ``protocol.arm_kernel``.
 """
 from __future__ import annotations
 
@@ -149,34 +150,6 @@ class JointOccupationDistribution:
     def mean_photons(self, label: str) -> float:
         i = self.mode_index(label)
         return math.fsum(occ[i] * p for occ, p in self.entries.items())
-
-    def marginal(self, keep: Iterable[str]) -> "JointOccupationDistribution":
-        """Trace out every mode not named in ``keep`` (order follows ``keep``)."""
-        keep = tuple(keep)
-        idx = [self.mode_index(label) for label in keep]
-        out: dict[Occupation, float] = {}
-        for occ, p in self.entries.items():
-            key = tuple(occ[i] for i in idx)
-            out[key] = out.get(key, 0.0) + p
-        return JointOccupationDistribution(keep, out, self.cutoff, self.lost_mass)
-
-    def product(self, other: "JointOccupationDistribution",
-                cutoff: int | None = None) -> "JointOccupationDistribution":
-        """Independent join; tuple totals above the cutoff move to lost_mass."""
-        if set(self.mode_labels) & set(other.mode_labels):
-            raise ValueError("product requires disjoint mode labels")
-        if cutoff is None:
-            cutoff = min(self.cutoff, other.cutoff)
-        labels = self.mode_labels + other.mode_labels
-        out: dict[Occupation, float] = {}
-        for occ_a, pa in self.entries.items():
-            ta = sum(occ_a)
-            for occ_b, pb in other.entries.items():
-                if ta + sum(occ_b) > cutoff:
-                    continue
-                out[occ_a + occ_b] = out.get(occ_a + occ_b, 0.0) + pa * pb
-        lost = 1.0 - math.fsum(out.values())
-        return JointOccupationDistribution(labels, out, cutoff, max(lost, 0.0))
 
 
 def thermal_pmf(nbar, n: int) -> float:

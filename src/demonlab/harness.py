@@ -36,7 +36,7 @@ from .analytics import Normalization, closed_form_power
 from .information import mutual_information
 from .montecarlo import measure_power
 from .oracle import compare, enumerate_outcomes
-from .protocol import canonical_policy, propagate
+from .protocol import canonical_policy, expected_power, propagate
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, make_source
 
 DEFAULT_GRID = {"start": 0.0, "stop": 0.5, "step": 0.025}
@@ -321,47 +321,42 @@ def _cell_seed(seed: int, source_index: int, grid_index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _closed_form(series: SourceSeries, r: float) -> float:
-    spec = series.spec
-    return closed_form_power(spec.kind, series.normalization, r,
-                             nbar=spec.nbar, eps2=series.eps2, v2=spec.v2)
-
-
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Produce one report row per source per grid point.
 
     When both engines run, a Monte Carlo point further than three standard
-    errors from the closed form (plus the documented quadratic allowance
-    for the thermal closed form) issues a ``UserWarning``.
+    errors from the exact expectation ``expected_power`` issues a
+    ``UserWarning``.
     """
     want_analytic = config.engine in ("analytic", "both")
     want_mc = config.engine in ("montecarlo", "both")
     rows = []
     for si, series in enumerate(config.sources):
+        spec = series.spec
         for gi, r2 in enumerate(config.grid):
             r = math.sqrt(r2)
-            analytic = _closed_form(series, r) if want_analytic else None
+            analytic = closed_form_power(
+                spec.kind, series.normalization, r, nbar=spec.nbar,
+                eps2=series.eps2, v2=spec.v2) if want_analytic else None
             mc = mc_stderr = None
             pair_norm_defined = 0.0 < r2 < 1.0
             if want_mc and (series.normalization is Normalization.SINGLES
                             or pair_norm_defined):
-                measured = measure_power(series.spec, r, series.eps2,
+                measured = measure_power(spec, r, series.eps2,
                                          config.slots,
                                          _cell_seed(config.seed, si, gi),
                                          series.normalization)
                 mc, mc_stderr = measured.value, measured.stderr
             if analytic is not None and mc is not None:
-                allowance = 3.0 * mc_stderr
-                if series.spec.kind is SourceKind.UNCORRELATED:
-                    allowance += 5.0 * series.spec.nbar ** 2
-                if abs(mc - analytic) > allowance:
+                exact = expected_power(spec, r, series.eps2,
+                                       series.normalization)
+                if abs(mc - exact) > 3.0 * mc_stderr:
                     warnings.warn(f"{series.name} at r2={r2:.6g}: simulated "
-                                  f"{mc:.6g} vs closed form {analytic:.6g} "
-                                  f"exceeds {allowance:.3g}", stacklevel=2)
+                                  f"{mc:.6g} vs exact {exact:.6g} exceeds "
+                                  f"{3.0 * mc_stderr:.3g}", stacklevel=2)
             info = None
             if config.include_info:
-                info = mutual_information(series.spec, r,
-                                          series.eps2).mutual_info_bits
+                info = mutual_information(spec, r, series.eps2).mutual_info_bits
             rows.append(ReportRow(series.name, series.normalization.value, r2,
                                   analytic, mc, mc_stderr, info))
     return rows
@@ -501,16 +496,13 @@ def _check_split_null(quick: bool):
 
 def _check_uncorrelated_thermal_power(quick: bool):
     slots, k = _check_budget(quick)
-    nbar = 0.05
-    spec = SourceSpec.uncorrelated(nbar)
-    closed = closed_form_power(spec.kind, Normalization.SINGLES,
-                               math.sqrt(0.5), nbar=nbar, eps2=1.0)
+    spec = SourceSpec.uncorrelated(0.05)
+    exact = expected_power(spec, math.sqrt(0.5), 1.0, Normalization.SINGLES)
     m = measure_power(spec, math.sqrt(0.5), 1.0, slots, 13,
                       Normalization.SINGLES)
-    allowance = k * m.stderr + 5.0 * nbar ** 2
-    ok = abs(m.value - closed) <= allowance
-    return ok, (f"thermal power {m.value:.5f} vs {closed:.5f} "
-                f"+- {allowance:.5f}")
+    ok = abs(m.value - exact) <= k * m.stderr
+    return ok, (f"thermal power {m.value:.5f} vs exact {exact:.5f} "
+                f"+- {k * m.stderr:.5f}")
 
 
 def _check_anti_correlated_ratio(quick: bool):

@@ -3,9 +3,8 @@
 The joint distribution ``p(m_A, m_B, n_A, n_B)`` pairs the binary click
 pattern ``(m_A, m_B)`` of the monitor detectors with the photon numbers
 ``(n_A, n_B)`` remaining in the arms after the taps.  Because the arms do
-not interact before the taps, the routing factorizes per arm: an incident
-photon survives the loss with probability ``eps2`` and is then either
-tapped (probability ``r**2``) or kept.  Mutual information is reported in
+not interact before the taps, the routing factorizes per arm: each arm
+passes through ``protocol.arm_kernel``.  Mutual information is reported in
 bits; the clicks are collapsed to binary before any entropy is taken, so
 it can never exceed 2 bits.
 
@@ -19,7 +18,8 @@ import math
 from dataclasses import dataclass
 
 from .fock import as_amplitude, as_efficiency
-from .sources import IN_A, IN_B, PAIR_KINDS, SourceSpec, make_source
+from .protocol import arm_kernel
+from .sources import PAIR_KINDS, SourceSpec, make_source
 
 DEFAULT_INFO_CUTOFF = 12
 
@@ -34,18 +34,6 @@ class InfoResult:
     joint: dict[tuple[ClickKey, PhotonKey], float]
 
 
-def _arm_routing(n: int, r2: float, eps2: float) -> dict[tuple[int, bool], float]:
-    """Joint pmf of (kept photons, monitor click) for one arm with n incident."""
-    out: dict[tuple[int, bool], float] = {}
-    for k in range(n + 1):  # survivors of the loss
-        p_k = math.comb(n, k) * eps2 ** k * (1.0 - eps2) ** (n - k)
-        for m in range(k + 1):  # tapped to the monitor
-            p = p_k * math.comb(k, m) * r2 ** m * (1.0 - r2) ** (k - m)
-            key = (k - m, m >= 1)
-            out[key] = out.get(key, 0.0) + p
-    return out
-
-
 def mutual_information(spec: SourceSpec, r, eps2,
                        cutoff: int = DEFAULT_INFO_CUTOFF) -> InfoResult:
     """Mutual information between the click pattern and the kept photon numbers."""
@@ -54,23 +42,21 @@ def mutual_information(spec: SourceSpec, r, eps2,
     if spec.kind in PAIR_KINDS:
         spec = spec.with_drop_vacuum()
     source = make_source(spec, cutoff)
-    r2 = r * r
+    # K, up to the fullest arm, collapsed to (kept photons, monitor click) in built order
+    routing = []
+    for row in arm_kernel(max(map(max, source.entries)), r, eps2):
+        collapsed: dict[tuple[int, bool], float] = {}
+        for (kept, tapped, _lost), p in row.items():
+            key = (kept, tapped >= 1)
+            collapsed[key] = collapsed.get(key, 0.0) + p
+        routing.append(collapsed)
 
-    cache: dict[int, dict[tuple[int, bool], float]] = {}
-
-    def routing(n: int) -> dict[tuple[int, bool], float]:
-        if n not in cache:
-            cache[n] = _arm_routing(n, r2, eps2)
-        return cache[n]
-
-    ia = source.mode_index(IN_A)
-    ib = source.mode_index(IN_B)
     joint: dict[tuple[ClickKey, PhotonKey], float] = {}
-    for occ, w in source.entries.items():
+    for (n_a, n_b), w in source.entries.items():
         if w == 0.0:
             continue
-        for (kept_a, click_a), pa in routing(occ[ia]).items():
-            for (kept_b, click_b), pb in routing(occ[ib]).items():
+        for (kept_a, click_a), pa in routing[n_a].items():
+            for (kept_b, click_b), pb in routing[n_b].items():
                 key = ((click_a, click_b), (kept_a, kept_b))
                 joint[key] = joint.get(key, 0.0) + w * pa * pb
     return InfoResult(*_mutual_information_of(joint), joint)

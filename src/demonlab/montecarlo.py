@@ -399,6 +399,9 @@ def _gaussian_memory_stream(rng: np.random.Generator, nbar: float, slots: int,
     """
     a = tau_c / math.sqrt(2.0 * math.pi)
     half = max(1, int(math.ceil(6.0 * a)))
+    if 2 * half + 1 > slots:
+        raise ValueError(f"tau_c = {tau_c:g} needs a {2 * half + 1}-tap memory "
+                         f"kernel, longer than the {slots} slots")
     kernel = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * a * a))
     pad = kernel.size
     total = slots + 2 * pad
@@ -434,8 +437,8 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     if model == "iid":
         stream = _thermal_stream(rng, spec.nbar, slots)
     elif model == "gaussian-memory":
-        if tau_c is None or tau_c <= 0:
-            raise ValueError("gaussian-memory model requires tau_c > 0")
+        if tau_c is None or not 0 < tau_c < math.inf:
+            raise ValueError("gaussian-memory model requires a finite tau_c > 0")
         stream = _gaussian_memory_stream(rng, spec.nbar, slots, float(tau_c))
     else:
         raise ValueError(f"unknown model {model!r}")

@@ -18,13 +18,17 @@ in the *other* arm, so the roles invert and the demon swaps on a lone
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .fock import JointOccupationDistribution, as_amplitude, as_efficiency, loss_channel, beamsplitter_split
-from .sources import IN_A, IN_B, SourceKind
+import numpy as np
+
+from .analytics import Normalization
+from .fock import JointOccupationDistribution, as_amplitude, as_efficiency
+from .sources import IN_A, IN_B, PAIR_KINDS, SourceKind, SourceSpec, make_source
 
 DEM_A = "Dem_A"
 DEM_B = "Dem_B"
@@ -120,54 +124,119 @@ class DemonOutcome:
             raise ValueError(f"outcome modes must be {OUTCOME_MODES}")
 
 
-def propagate(source_state: JointOccupationDistribution, r, eps2, policy: Policy,
-              dem_efficiency: tuple[float, float] = (1.0, 1.0)) -> DemonOutcome:
-    """Run a two-mode input state through loss, taps, and the switch.
+def arm_kernel(cutoff: int, r, eps2) -> list[dict[tuple[int, int, int], float]]:
+    """``K[n][(kept, tapped, lost)]``: where the ``n <= cutoff`` photons of an arm go.
 
-    Parameters
-    ----------
-    source_state:
-        Distribution over ``(In_A, In_B)``.
-    r:
-        Tap amplitude; each surviving photon reaches its monitor detector
-        with probability ``r**2``.
-    eps2:
-        Survival probability of the upstream loss, kept in ``l_A``/``l_B``.
-    policy:
-        Click-pattern to switch-state map applied within the same slot.
-    dem_efficiency:
-        Optional extra thinning of the monitor modes before clicks are
-        formed (lost monitor photons are discarded, not routed to ``l``).
+    Each photon survives the upstream loss with probability ``eps2`` and is
+    then tapped to the monitor with probability ``r**2`` or kept for the
+    switch.  Both arms pass through ``K`` before the switch.  Cells of zero
+    weight are left out.
+    """
+    r = as_amplitude(r)
+    eps2 = as_efficiency(eps2)
+    r2 = r * r
+    # each power once; the products keep their order, so sums over K repeat bit for bit
+    survive, lose, tap, keep = ([x ** j for j in range(cutoff + 1)]
+                                for x in (eps2, 1.0 - eps2, r2, 1.0 - r2))
+    kernel = []
+    for n in range(cutoff + 1):
+        row = {}
+        for k in range(n + 1):  # survivors of the loss
+            p_k = math.comb(n, k) * survive[k] * lose[n - k]
+            for m in range(k + 1):  # tapped to the monitor
+                p = p_k * math.comb(k, m) * tap[m] * keep[k - m]
+                if p > 0.0:
+                    row[(k - m, m, n - k)] = p
+        kernel.append(row)
+    return kernel
+
+
+def propagate(source_state: JointOccupationDistribution, r, eps2,
+              policy: Policy) -> DemonOutcome:
+    """Run a distribution over ``(In_A, In_B)`` through ``arm_kernel`` on
+    each arm, then the switch ``policy`` picks from the monitor clicks.
 
     Returns the joint outcome over ``(D_A, D_B, Dem_A, Dem_B, l_A, l_B)``.
     Clicks are non-number-resolving: any occupation >= 1 counts.
     """
     if tuple(source_state.mode_labels) != (IN_A, IN_B):
         raise ValueError(f"source modes must be ({IN_A}, {IN_B})")
-    r = as_amplitude(r)
-    eps2 = as_efficiency(eps2)
-    eta_a, eta_b = (as_efficiency(e) for e in dem_efficiency)
-
-    state = loss_channel(source_state, IN_A, eps2, loss_mode=LOSS_A)
-    state = loss_channel(state, IN_B, eps2, loss_mode=LOSS_B)
-    state = beamsplitter_split(state, IN_A, r, DEM_A)
-    state = beamsplitter_split(state, IN_B, r, DEM_B)
-    if eta_a < 1.0:
-        state = loss_channel(state, DEM_A, eta_a)
-    if eta_b < 1.0:
-        state = loss_channel(state, DEM_B, eta_b)
-
-    # state modes: (In_A, In_B, l_A, l_B, Dem_A, Dem_B); In_* now hold the kept photons
+    kernel = arm_kernel(source_state.cutoff, r, eps2)
     out: dict[tuple[int, ...], float] = {}
-    for (kept_a, kept_b, lost_a, lost_b, dem_a, dem_b), p in state.entries.items():
-        clicks = ClickPattern(dem_a >= 1, dem_b >= 1)
-        if policy.switch_for(clicks) is SwitchState.CROSS:
-            kept_a, kept_b = kept_b, kept_a
-        key = (kept_a, kept_b, dem_a, dem_b, lost_a, lost_b)
-        out[key] = out.get(key, 0.0) + p
-    dist = JointOccupationDistribution(OUTCOME_MODES, out, state.cutoff,
-                                       state.lost_mass)
+    for (n_a, n_b), w in source_state.entries.items():
+        for (kept_a, dem_a, lost_a), p_a in kernel[n_a].items():
+            for (kept_b, dem_b, lost_b), p_b in kernel[n_b].items():
+                out_a, out_b = kept_a, kept_b
+                if policy.switch_for(ClickPattern(dem_a >= 1, dem_b >= 1)) is SwitchState.CROSS:
+                    out_a, out_b = kept_b, kept_a
+                key = (out_a, out_b, dem_a, dem_b, lost_a, lost_b)
+                out[key] = out.get(key, 0.0) + w * p_a * p_b
+    dist = JointOccupationDistribution(OUTCOME_MODES, out, source_state.cutoff,
+                                       source_state.lost_mass)
     return DemonOutcome(dist)
+
+
+#: Largest truncation ``expected_power`` builds; K holds ~cutoff**3 / 6 cells.
+MAX_EXACT_CUTOFF = 64
+
+#: Index grids of a click table ``[out_a, mon_a, out_b, mon_b]``.
+_OUT_A, _MON_A, _OUT_B, _MON_B = np.indices((2, 2, 2, 2))
+
+
+@functools.lru_cache(maxsize=32)
+def _exact_source(spec: SourceSpec) -> JointOccupationDistribution:
+    """The source at the smallest cutoff that leaves out at most 1e-9 of it.
+
+    Cached: a sweep asks for one source at every grid point.
+    """
+    cutoff = 2
+    while (source := make_source(spec, cutoff)).lost_mass > 1e-9:
+        if cutoff == MAX_EXACT_CUTOFF:
+            raise ValueError(f"{spec.kind.value} source too bright for an exact "
+                             f"reference: {source.lost_mass:.2g} of it lies above "
+                             f"{cutoff} photons")
+        cutoff += 1
+    return source
+
+
+def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
+    """All-orders expectation of ``measure_power``'s estimator.
+
+    Feed-forward minus ``ALL_CROSS`` click imbalance per slot, over the
+    cross run's singles flux ``(P_A + P_B) / 2 / (1 - r**2)`` or, for
+    pairs, its output-monitor coincidence rate over ``2 * r**2 * (1 - r**2)``.
+    This is the exact reference a simulated power is checked against.
+    """
+    pairs = Normalization(normalization) is Normalization.PAIRS
+    if pairs and spec.kind not in PAIR_KINDS:
+        raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
+    r = as_amplitude(r)
+    r2 = r * r
+    source = _exact_source(spec)
+    table = np.zeros((source.cutoff + 1, source.cutoff + 1))
+    for occ, w in source.entries.items():
+        table[occ] = w
+    # K collapsed per arm to the cell 2 * (output click) + (monitor click)
+    arm = []
+    for row in arm_kernel(source.cutoff, r, eps2):
+        cells = [0.0] * 4
+        for (kept, tapped, _lost), p in row.items():
+            cells[2 * (kept >= 1) + (tapped >= 1)] += p
+        arm.append(cells)
+    arm = np.array(arm)
+    joint = (arm.T @ table @ arm).reshape(2, 2, 2, 2)
+    policy = canonical_policy(spec.kind)
+    bar = np.array([[policy.switch_for(ClickPattern(a, b)) is SwitchState.BAR
+                     for b in (False, True)] for a in (False, True)])[_MON_A, _MON_B]
+    # a swapped slot reads as in the cross run; a bar slot reads
+    # out_a - out_b against the cross run's out_b - out_a
+    imbalance = np.sum(joint * bar * 2.0 * (_OUT_A - _OUT_B))
+    # pairs: every output click with every monitor click, as the engine counts
+    rate = np.sum(joint * (_OUT_A + _OUT_B) * ((_MON_A + _MON_B) if pairs else 0.5))
+    norm = 2.0 * r2 * (1.0 - r2) if pairs else 1.0 - r2
+    if rate <= 0.0 or norm <= 0.0:
+        raise ValueError("normalization denominator is zero; nothing is detected")
+    return float(imbalance / (rate / norm))
 
 
 def detector_probs(outcome: DemonOutcome) -> tuple[float, float]:

@@ -29,7 +29,6 @@ from .fock import (
     JointOccupationDistribution,
     as_nbar,
     as_visibility,
-    single_mode_thermal,
     thermal_pmf,
 )
 
@@ -162,9 +161,11 @@ def make_source(spec: SourceSpec,
                 cutoff: int = DEFAULT_CUTOFF) -> JointOccupationDistribution:
     """Build the two-mode input distribution over ``(In_A, In_B)``."""
     if spec.kind is SourceKind.UNCORRELATED:
-        a = single_mode_thermal(spec.nbar, cutoff, IN_A)
-        b = single_mode_thermal(spec.nbar, cutoff, IN_B)
-        return a.product(b, cutoff=cutoff)
+        pmf = [thermal_pmf(spec.nbar, n) for n in range(cutoff + 1)]
+        entries = {(a, b): pmf[a] * pmf[b]
+                   for a in range(cutoff + 1) for b in range(cutoff + 1 - a)}
+        lost = 1.0 - math.fsum(entries.values())
+        return JointOccupationDistribution((IN_A, IN_B), entries, cutoff, max(lost, 0.0))
     if spec.kind is SourceKind.SPLIT_THERMAL:
         total_nbar = 2.0 * spec.nbar
         entries: dict[tuple[int, int], float] = {}

@@ -16,7 +16,7 @@ from demonlab.analytics import (
     peak_enhancement_ratio,
     peak_power,
 )
-from demonlab.protocol import canonical_policy, detector_probs, propagate
+from demonlab.protocol import canonical_policy, detector_probs, expected_power, propagate
 from demonlab.sources import SourceKind, SourceSpec, make_source
 
 R_HALF = math.sqrt(0.5)
@@ -139,6 +139,20 @@ def test_pipeline_matches_closed_form_for_thermal_kinds():
         assert abs(got - want) <= 5.0 * nbar * nbar, r2
         split = _pipeline_singles(SourceSpec.split_thermal(nbar), r2, 1.0)
         assert abs(split) < 1e-12
+
+
+def test_thermal_law_is_taken_at_the_surviving_mean():
+    """Loss thins a thermal arm to mean eps2 * nbar; the law must follow."""
+    nbar = 0.05
+    for eps2 in (1.0, 0.5, 0.14):
+        for r2 in (0.1, 0.5):
+            r = math.sqrt(r2)
+            closed = closed_form_power(SourceKind.UNCORRELATED, Normalization.SINGLES,
+                                       r, nbar=nbar, eps2=eps2)
+            exact = expected_power(SourceSpec.uncorrelated(nbar), r, eps2,
+                                   Normalization.SINGLES)
+            # first order in the surviving mean: the residue shrinks with it
+            assert abs(closed / exact - 1.0) <= 5.0 * eps2 * nbar, (eps2, r2)
 
 
 def test_peak_power_cases():

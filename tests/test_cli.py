@@ -104,11 +104,17 @@ _ARGUMENT_ERRORS = [
       "--dead-window", "50"], "--dead-window"),
     (["mc", "--kind", "correlated", "--s2", "0.01", "--normalization", "pairs",
       "--mode", "bar"], "--mode"),
+    # only the feed-forward switch has a window to hold
+    (["mc", "--kind", "correlated", "--s2", "0.01", "--mode", "bar",
+      "--dead-window", "5"], "--dead-window"),
     # reflectivities outside [0, 1] and malformed delays name their flag
     (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
     (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "1.5"], "--r2"),
     (["info", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
     (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
+    # a memory kernel longer than the stream is refused before it is built
+    (["g2", "--nbar", "0.5", "--model", "gaussian-memory", "--tau-c", "1e9",
+      "--slots", "100000"], "tau_c"),
 ]
 
 

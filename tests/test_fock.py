@@ -110,20 +110,6 @@ def test_vacuum_and_renamed():
         vac.mode_index("z")
 
 
-def test_product_combines_independent_modes():
-    a = single_mode_thermal(0.05, cutoff=3, label="a")
-    b = single_mode_thermal(0.02, cutoff=3, label="b")
-    joint = a.product(b, cutoff=3)
-    # independence entrywise where both fit under the shared cutoff
-    for na in range(3):
-        for nb in range(3 - na):
-            want = thermal_pmf(0.05, na) * thermal_pmf(0.02, nb)
-            assert abs(joint.probability((na, nb)) - want) < 1e-15
-    # mass clipped by the joint cutoff moves to lost_mass
-    assert joint.lost_mass > 0.0
-    assert abs(joint.total_mass - 1.0) < 1e-12
-
-
 def test_beamsplitter_split_frozen_two_photon_case():
     base = JointOccupationDistribution(("in",), {(2,): 1.0}, cutoff=2)
     out = beamsplitter_split(base, "in", math.sqrt(0.5), "tap")
@@ -185,6 +171,12 @@ def test_loss_channel_with_loss_mode_matches_split():
     split = beamsplitter_split(dist, "In_A", math.sqrt(1.0 - 0.14), "gone")
     for occ, p in split.entries.items():
         assert abs(kept.probability(occ) - p) < 1e-15
+    # splitting, then tracing out the tap, is thinning
+    tapped = beamsplitter_split(dist, "In_A", 0.5, "tap")
+    thinned = loss_channel(dist, "In_A", 0.75)
+    for n in range(5):
+        traced = math.fsum(p for occ, p in tapped.entries.items() if occ[0] == n)
+        assert abs(traced - thinned.probability((n,))) < 1e-12
 
 
 def test_loss_commutes_with_split_when_applied_to_both_arms():
@@ -236,18 +228,6 @@ def test_joint_detection_pmf_rejects_negative_counts():
         joint_detection_pmf(0.05, 0.5, -1, 0)
     with pytest.raises(ValueError):
         joint_detection_pmf(0.05, 0.5, 0, -1)
-
-
-def test_marginal_drops_modes():
-    dist = beamsplitter_split(single_mode_thermal(0.05, cutoff=4), "In_A", 0.5, "tap")
-    marg = dist.marginal(["In_A"])
-    assert marg.mode_labels == ("In_A",)
-    total = math.fsum(marg.entries.values())
-    assert abs(total + marg.lost_mass - 1.0) < 1e-12
-    # tracing out the tap must reproduce the thinned marginal
-    thinned = loss_channel(single_mode_thermal(0.05, cutoff=4), "In_A", 0.75)
-    for n in range(5):
-        assert abs(marg.probability((n,)) - thinned.probability((n,))) < 1e-12
 
 
 def test_distribution_entries_survive_json_roundtrip():

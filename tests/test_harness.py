@@ -191,9 +191,9 @@ def test_run_sweep_is_deterministic():
 
 def test_run_sweep_warn_hook(monkeypatch):
     data = _minimal(engine="both", slots=50_000, grid=[0.5])
-    monkeypatch.setattr(harness, "_closed_form", lambda series, r: 99.0)
-    # a wildly wrong closed form must trip the cross-check
-    with pytest.warns(UserWarning, match="vs closed form 99 exceeds"):
+    monkeypatch.setattr(harness, "expected_power", lambda *args: 99.0)
+    # a wildly wrong exact reference must trip the cross-check
+    with pytest.warns(UserWarning, match="vs exact 99 exceeds"):
         run_sweep(parse_sweep_config(data))
 
 

@@ -21,9 +21,11 @@ from demonlab.protocol import (
     SwitchState,
     TABLE_PAIR,
     TABLE_THERMAL,
+    arm_kernel,
     canonical_policy,
     delta_n,
     detector_probs,
+    expected_power,
     propagate,
 )
 from demonlab.sources import IN_A, IN_B, SourceKind, SourceSpec, make_source
@@ -146,29 +148,6 @@ def test_all_bar_keeps_arms_symmetric_for_symmetric_sources():
         assert abs(p_a - p_b) < 1e-12
 
 
-def test_dem_efficiency_zero_blinds_the_demon():
-    """With dead monitors every policy reduces to its no-click row."""
-    source = make_source(SourceSpec.uncorrelated(0.05), cutoff=4)
-    blind = propagate(source, 0.5, 1.0, TABLE_THERMAL, dem_efficiency=(0.0, 0.0))
-    bar = propagate(source, 0.5, 1.0, ALL_BAR, dem_efficiency=(0.0, 0.0))
-    keys = set(blind.dist.entries) | set(bar.dist.entries)
-    for occ in keys:
-        assert abs(blind.dist.probability(occ) - bar.dist.probability(occ)) < 1e-15
-    # and no monitor photon is ever recorded
-    assert all(occ[2] == 0 and occ[3] == 0 for occ in blind.dist.entries)
-
-
-def test_dem_efficiency_thins_click_rate():
-    source = make_source(SourceSpec.uncorrelated(0.1), cutoff=4)
-    full = propagate(source, 0.5, 1.0, ALL_BAR)
-    half = propagate(source, 0.5, 1.0, ALL_BAR, dem_efficiency=(0.5, 0.5))
-    click_full = math.fsum(p for occ, p in full.dist.entries.items() if occ[2] >= 1)
-    click_half = math.fsum(p for occ, p in half.dist.entries.items() if occ[2] >= 1)
-    assert click_half < click_full
-    # monitor mean thins linearly even though click probability does not
-    assert abs(half.dist.mean_photons(DEM_A) - 0.5 * full.dist.mean_photons(DEM_A)) < 1e-12
-
-
 def test_loss_modes_track_upstream_attenuation():
     source = make_source(SourceSpec.uncorrelated(0.1), cutoff=4)
     outcome = propagate(source, 0.5, 0.6, ALL_BAR)
@@ -203,3 +182,38 @@ def test_demon_outcome_enforces_mode_order():
     bad = JointOccupationDistribution.vacuum(tuple(reversed(OUTCOME_MODES)))
     with pytest.raises(ValueError):
         DemonOutcome(bad)
+
+
+def test_arm_kernel_rows_are_distributions():
+    kernel = arm_kernel(6, math.sqrt(0.3), 0.6)
+    assert len(kernel) == 7
+    for n, row in enumerate(kernel):
+        assert all(sum(cell) == n for cell in row)
+        assert abs(math.fsum(row.values()) - 1.0) < 1e-15
+    # a lossless arm loses nothing, and an untapped one taps nothing
+    assert all(lost == 0 for row in arm_kernel(4, 0.5, 1.0) for _, _, lost in row)
+    assert all(tapped == 0 for row in arm_kernel(4, 0.0, 0.6) for _, tapped, _ in row)
+
+
+def test_expected_power_reference_values():
+    thermal = expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 1.0, "singles")
+    assert abs(thermal - 0.023229) < 1e-6
+    pairs = expected_power(SourceSpec.correlated(s2=0.01), R_HALF, 1.0, "pairs")
+    assert abs(pairs - 0.5) < 1e-12
+    anti = expected_power(SourceSpec.anti_correlated(s2=0.01, v2=0.87), R_HALF, 1.0,
+                          "pairs")
+    assert abs(anti - 0.37) < 1e-12
+    assert abs(expected_power(SourceSpec.split_thermal(0.05), R_HALF, 0.14,
+                              "singles")) < 1e-15
+
+
+def test_expected_power_refuses_what_it_cannot_compute():
+    with pytest.raises(ValueError, match="pair normalization"):
+        expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 1.0, "pairs")
+    with pytest.raises(ValueError, match="denominator"):
+        expected_power(SourceSpec.correlated(s2=0.01), 0.0, 1.0, "pairs")
+    with pytest.raises(ValueError, match="denominator"):
+        expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 0.0, "singles")
+    # a bright bath would need an unbounded table; it is refused instead
+    with pytest.warns(Warning), pytest.raises(ValueError, match="too bright"):
+        expected_power(SourceSpec.split_thermal(2.0), R_HALF, 1.0, "singles")
