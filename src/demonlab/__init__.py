@@ -9,7 +9,7 @@ closed-form low-brightness power laws, a slot-based event simulator, an
 independent path-enumeration oracle, and a mutual-information account of
 what the monitor record reveals.
 """
-from .analytics import Normalization, closed_form_power, peak_enhancement_ratio, peak_power
+from .analytics import Normalization, closed_form_power, peak_enhancement_ratio
 from .fock import JointOccupationDistribution, beamsplitter_split, loss_channel, single_mode_thermal, thermal_pmf
 from .information import mutual_information
 from .montecarlo import RunConfig, RunMode, RunResult, calibrate_balance, estimate_g2, measure_power, run
@@ -46,7 +46,6 @@ __all__ = [
     "measure_power",
     "mutual_information",
     "peak_enhancement_ratio",
-    "peak_power",
     "propagate",
     "run",
     "single_mode_thermal",

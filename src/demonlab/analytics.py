@@ -13,15 +13,14 @@ monitor tap, no power when everything is tapped.  Writing ``R2 = r**2``:
   per pair: ``2 * (2 * v2 - 1) * R2 * (1 - R2)``
 
 The thermal law is first order in ``nbar``.  The exact reference for a
-simulated power is ``protocol.expected_power``, the all-orders expectation
-of the Monte Carlo estimator; checks compare the simulation with it, not
-with these laws.
+simulated power is ``protocol.expected_power``, the expectation of the
+Monte Carlo estimator at every order, taken from the bath's generating
+function; checks compare the simulation with it, not with these laws.
 """
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple
 
 from .fock import as_amplitude, as_efficiency, as_nbar, as_visibility
 from .sources import SourceKind, THERMAL_KINDS
@@ -30,13 +29,6 @@ from .sources import SourceKind, THERMAL_KINDS
 class Normalization(str, Enum):
     SINGLES = "singles"
     PAIRS = "pairs"
-
-
-class PeakPower(NamedTuple):
-    """Argmax reflectivity (None when the curve is degenerate) and the value."""
-
-    r2_opt: float | None
-    value: float
 
 
 def closed_form_power(kind: SourceKind, normalization: Normalization, r, *,
@@ -77,33 +69,17 @@ def closed_form_power(kind: SourceKind, normalization: Normalization, r, *,
     return 2.0 * as_efficiency(eps2) * visibility_factor * tap
 
 
-def peak_power(kind: SourceKind, normalization: Normalization, *,
-               nbar: float | None = None, eps2: float | None = None,
-               v2: float | None = None) -> PeakPower:
-    """Maximize the closed form over ``r2`` in [0, 1].
-
-    Every curve is ``coefficient * r2 * (1 - r2)``, so a positive
-    coefficient peaks at ``r2 = 0.5``.  A zero or negative coefficient has
-    no interior peak; the maximum value 0 sits on the boundary and the
-    argmax is reported as None.
-    """
-    half = closed_form_power(kind, normalization, math.sqrt(0.5),
-                             nbar=nbar, eps2=eps2, v2=v2)
-    if half > 0.0:
-        return PeakPower(0.5, half)
-    return PeakPower(None, 0.0)
-
-
 def peak_enhancement_ratio(nbar: float) -> float:
     """Peak pair-normalized cross-mode power over peak thermal singles power.
 
     A reported diagnostic: how much stronger the pair-fed demon is at its
     best reflectivity than the thermal-fed demon at the same mean photon
-    number.  Both peaks sit at ``r2 = 0.5``.
+    number.  Both laws are ``coefficient * r2 * (1 - r2)``, peaking at ``r2 = 0.5``.
     """
-    pair = peak_power(SourceKind.CORRELATED, Normalization.PAIRS).value
-    thermal = peak_power(SourceKind.UNCORRELATED, Normalization.SINGLES,
-                         nbar=nbar).value
+    r = math.sqrt(0.5)
+    pair = closed_form_power(SourceKind.CORRELATED, Normalization.PAIRS, r)
+    thermal = closed_form_power(SourceKind.UNCORRELATED, Normalization.SINGLES, r,
+                                nbar=nbar)
     if thermal <= 0.0:
         raise ValueError("thermal peak vanishes; need nbar > 0")
     return pair / thermal

@@ -23,6 +23,9 @@ from .sources import PAIR_KINDS, SourceSpec, make_source
 
 DEFAULT_INFO_CUTOFF = 12
 
+#: Largest truncation ``mutual_information`` picks for itself.
+MAX_EXACT_CUTOFF = 64
+
 ClickKey = tuple[bool, bool]
 PhotonKey = tuple[int, int]
 
@@ -35,13 +38,22 @@ class InfoResult:
 
 
 def mutual_information(spec: SourceSpec, r, eps2,
-                       cutoff: int = DEFAULT_INFO_CUTOFF) -> InfoResult:
-    """Mutual information between the click pattern and the kept photon numbers."""
+                       cutoff: int | None = None) -> InfoResult:
+    """Mutual information between the click pattern and the kept photon numbers.
+
+    Unless ``cutoff`` is given, the bath is truncated at the smallest cutoff
+    from ``DEFAULT_INFO_CUTOFF`` up that leaves out at most 1e-13 of it.
+    """
     r = as_amplitude(r)
     eps2 = as_efficiency(eps2)
     if spec.kind in PAIR_KINDS:
         spec = spec.with_drop_vacuum()
-    source = make_source(spec, cutoff)
+    source = make_source(spec, DEFAULT_INFO_CUTOFF if cutoff is None else cutoff)
+    while cutoff is None and source.lost_mass > 1e-13:
+        if source.cutoff == MAX_EXACT_CUTOFF:
+            raise ValueError(f"cutoff: {source.lost_mass:.2g} of the {spec.kind.value} "
+                             f"source lies above {MAX_EXACT_CUTOFF} photons")
+        source = make_source(spec, source.cutoff + 1)
     # K, up to the fullest arm, collapsed to (kept photons, monitor click) in built order
     routing = []
     for row in arm_kernel(max(map(max, source.entries)), r, eps2):

@@ -18,7 +18,6 @@ in the *other* arm, so the roles invert and the demon swaps on a lone
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +27,8 @@ import numpy as np
 
 from .analytics import Normalization
 from .fock import JointOccupationDistribution, as_amplitude, as_efficiency
-from .sources import IN_A, IN_B, PAIR_KINDS, SourceKind, SourceSpec, make_source
+from .sources import (IN_A, IN_B, PAIR_KINDS, SourceKind, SourceSpec,
+                      generating_function_minus_one)
 
 DEM_A = "Dem_A"
 DEM_B = "Dem_B"
@@ -176,27 +176,30 @@ def propagate(source_state: JointOccupationDistribution, r, eps2,
     return DemonOutcome(dist)
 
 
-#: Largest truncation ``expected_power`` builds; K holds ~cutoff**3 / 6 cells.
-MAX_EXACT_CUTOFF = 64
+#: Arm cell ``2 * (output click) + (monitor click)`` from ``E[(1-u)**n]``, the
+#: chance that no photon reaches the detectors in question, at ``u = [0,
+#: eps2 * r2, eps2 * (1 - r2), eps2]``: none, monitor, output, both.
+_CELLS = np.array([[0, 0, 0, 1], [0, 0, 1, -1], [0, 1, 0, -1], [1, -1, -1, 1]])
 
 #: Index grids of a click table ``[out_a, mon_a, out_b, mon_b]``.
 _OUT_A, _MON_A, _OUT_B, _MON_B = np.indices((2, 2, 2, 2))
 
 
-@functools.lru_cache(maxsize=32)
-def _exact_source(spec: SourceSpec) -> JointOccupationDistribution:
-    """The source at the smallest cutoff that leaves out at most 1e-9 of it.
+def _click_table(spec: SourceSpec, r, eps2) -> np.ndarray:
+    """Pre-switch click probabilities, indexed ``[out_a, mon_a, out_b, mon_b]``.
 
-    Cached: a sweep asks for one source at every grid point.
+    Detectors only click, so the bath enters only through its generating
+    function at the points of ``_CELLS``: no truncation is needed.
     """
-    cutoff = 2
-    while (source := make_source(spec, cutoff)).lost_mass > 1e-9:
-        if cutoff == MAX_EXACT_CUTOFF:
-            raise ValueError(f"{spec.kind.value} source too bright for an exact "
-                             f"reference: {source.lost_mass:.2g} of it lies above "
-                             f"{cutoff} photons")
-        cutoff += 1
-    return source
+    r = as_amplitude(r)
+    eps2 = as_efficiency(eps2)
+    r2 = r * r
+    u = np.array([0.0, eps2 * r2, eps2 * (1.0 - r2), eps2])
+    # G - 1 rather than G keeps the digits that cancel between the cells
+    g_minus_one = generating_function_minus_one(spec, u[:, None], u[None, :])
+    table = _CELLS @ g_minus_one @ _CELLS.T
+    table[0, 0] += 1.0  # rows 1-3 of _CELLS sum to 0, so the 1 lands here alone
+    return table.reshape(2, 2, 2, 2)
 
 
 def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
@@ -212,19 +215,7 @@ def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
         raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
     r = as_amplitude(r)
     r2 = r * r
-    source = _exact_source(spec)
-    table = np.zeros((source.cutoff + 1, source.cutoff + 1))
-    for occ, w in source.entries.items():
-        table[occ] = w
-    # K collapsed per arm to the cell 2 * (output click) + (monitor click)
-    arm = []
-    for row in arm_kernel(source.cutoff, r, eps2):
-        cells = [0.0] * 4
-        for (kept, tapped, _lost), p in row.items():
-            cells[2 * (kept >= 1) + (tapped >= 1)] += p
-        arm.append(cells)
-    arm = np.array(arm)
-    joint = (arm.T @ table @ arm).reshape(2, 2, 2, 2)
+    joint = _click_table(spec, r, eps2)
     policy = canonical_policy(spec.kind)
     bar = np.array([[policy.switch_for(ClickPattern(a, b)) is SwitchState.BAR
                      for b in (False, True)] for a in (False, True)])[_MON_A, _MON_B]
@@ -244,11 +235,4 @@ def detector_probs(outcome: DemonOutcome) -> tuple[float, float]:
     pa = math.fsum(p for occ, p in outcome.dist.entries.items() if occ[0] >= 1)
     pb = math.fsum(p for occ, p in outcome.dist.entries.items() if occ[1] >= 1)
     return pa, pb
-
-
-def delta_n(p_a: float, p_b: float, gamma: float = 1.0) -> float:
-    """Expected click imbalance for ``gamma`` slots: ``gamma * (P_A - P_B)``."""
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    return gamma * (p_a - p_b)
 

@@ -180,6 +180,23 @@ def make_source(spec: SourceSpec,
     return JointOccupationDistribution((IN_A, IN_B), _pair_weights(spec), cutoff)
 
 
+def generating_function_minus_one(spec: SourceSpec, u, v):
+    """``E[(1-u)**n_A * (1-v)**n_B] - 1`` in closed form; ``u``, ``v`` broadcast.
+
+    Less one, it keeps its digits where the expectation is close to 1.
+    """
+    if spec.kind is SourceKind.UNCORRELATED:
+        a, b = spec.nbar * u, spec.nbar * v
+        return -(a + b + a * b) / ((1.0 + a) * (1.0 + b))
+    if spec.kind is SourceKind.SPLIT_THERMAL:
+        s = spec.nbar * (u + v)
+        return -s / (1.0 + s)
+    def less_one(x, n):  # (1-x)**n - 1, summed so that nothing cancels
+        return -x * sum((1.0 - x) ** k for k in range(n))
+    return sum(w * (less_one(u, a) * (1.0 - v) ** b + less_one(v, b))
+               for (a, b), w in _pair_weights(spec).items())
+
+
 def g2_zero(dist: JointOccupationDistribution, mode: str) -> float:
     """Equal-time second-order coherence of one mode of a distribution.
 

@@ -11,10 +11,8 @@ import pytest
 
 from demonlab.analytics import (
     Normalization,
-    PeakPower,
     closed_form_power,
     peak_enhancement_ratio,
-    peak_power,
 )
 from demonlab.protocol import canonical_policy, detector_probs, expected_power, propagate
 from demonlab.sources import SourceKind, SourceSpec, make_source
@@ -153,18 +151,6 @@ def test_thermal_law_is_taken_at_the_surviving_mean():
                                    Normalization.SINGLES)
             # first order in the surviving mean: the residue shrinks with it
             assert abs(closed / exact - 1.0) <= 5.0 * eps2 * nbar, (eps2, r2)
-
-
-def test_peak_power_cases():
-    peak = peak_power(SourceKind.CORRELATED, Normalization.PAIRS)
-    assert peak == PeakPower(0.5, pytest.approx(0.5))
-    flat = peak_power(SourceKind.SPLIT_THERMAL, Normalization.SINGLES, nbar=0.05)
-    assert flat == PeakPower(None, 0.0)
-    anti = peak_power(SourceKind.ANTI_CORRELATED, Normalization.PAIRS, v2=0.87)
-    assert anti.r2_opt == 0.5
-    assert abs(anti.value - 0.37) < 1e-12
-    null = peak_power(SourceKind.ANTI_CORRELATED, Normalization.PAIRS, v2=0.5)
-    assert null == PeakPower(None, 0.0)
 
 
 def test_peak_enhancement_ratio_frozen():

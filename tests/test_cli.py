@@ -111,6 +111,8 @@ _ARGUMENT_ERRORS = [
     (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
     (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "1.5"], "--r2"),
     (["info", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
+    # a bath too bright for the largest truncation info picks for itself
+    (["info", "--kind", "split-thermal", "--nbar", "2"], "cutoff"),
     (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
     # a memory kernel longer than the stream is refused before it is built
     (["g2", "--nbar", "0.5", "--model", "gaussian-memory", "--tau-c", "1e9",

@@ -21,7 +21,7 @@ from demonlab.montecarlo import (
     measure_power,
     run,
 )
-from demonlab.protocol import ALL_BAR, ALL_CROSS, canonical_policy, propagate
+from demonlab.protocol import ALL_BAR, ALL_CROSS, canonical_policy, expected_power, propagate
 from demonlab.sources import SourceSpec, make_source
 
 
@@ -147,28 +147,13 @@ def test_run_tallies_match_exact_rates(index):
             assert abs(z) < 5.0, (spec.kind, mode, field, z)
 
 
-def _expected_power(spec, r2, normalization):
-    """Exact feed-forward minus cross imbalance over the cross denominator."""
-    state = make_source(spec, 10)
-    r = math.sqrt(r2)
-    ff = _exact_rates(propagate(state, r, 1.0, canonical_policy(spec.kind)))
-    cross = _exact_rates(propagate(state, r, 1.0, ALL_CROSS))
-    imbalance = ((ff["n_a"][0] - ff["n_b"][0])
-                 - (cross["n_a"][0] - cross["n_b"][0]))
-    if normalization is Normalization.SINGLES:
-        denom = (cross["n_a"][0] + cross["n_b"][0]) / 2.0 / (1.0 - r2)
-    else:
-        denom = cross["coincidences"][0] / (2.0 * r2 * (1.0 - r2))
-    return imbalance / denom
-
-
 @pytest.mark.parametrize("spec, normalization", [
     (SourceSpec.correlated(s2=0.01), Normalization.PAIRS),
     (SourceSpec.uncorrelated(0.05), Normalization.SINGLES),
 ])
 def test_power_error_bars_have_unit_spread(spec, normalization):
     """z-scores of 600 seeds against the exact value have rms 1."""
-    want = _expected_power(spec, 0.5, normalization)
+    want = expected_power(spec, math.sqrt(0.5), 1.0, normalization)
     z = []
     for seed in range(600):
         m = measure_power(spec, math.sqrt(0.5), 1.0, 100_000, seed, normalization)

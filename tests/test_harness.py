@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import warnings
 
 import pytest
 
@@ -195,6 +196,32 @@ def test_run_sweep_warn_hook(monkeypatch):
     # a wildly wrong exact reference must trip the cross-check
     with pytest.warns(UserWarning, match="vs exact 99 exceeds"):
         run_sweep(parse_sweep_config(data))
+
+
+def _sweep_at_three_and_a_half_sigma(monkeypatch, grid):
+    """Every simulated point sits 3.5 standard errors from its exact value."""
+    measured = type("Measured", (), {"value": 1.35, "stderr": 0.1})
+    monkeypatch.setattr(harness, "measure_power", lambda *args: measured)
+    monkeypatch.setattr(harness, "expected_power", lambda *args: 1.0)
+    return run_sweep(parse_sweep_config(_minimal(engine="both", grid=grid)))
+
+
+def test_run_sweep_warning_threshold_is_family_wise(monkeypatch):
+    with pytest.warns(UserWarning, match="3.00 sigma for 1 points"):
+        _sweep_at_three_and_a_half_sigma(monkeypatch, [0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = _sweep_at_three_and_a_half_sigma(
+            monkeypatch, [0.01 * k for k in range(1, 43)])
+    assert len(rows) == 42
+
+
+@pytest.mark.filterwarnings("ignore::demonlab.fock.LowPhotonRegimeWarning")
+def test_run_sweep_compares_bright_baths():
+    data = _minimal(engine="both", slots=20_000, grid=[0.5],
+                    sources=[{"name": "s", "kind": "split_thermal", "nbar": 2.0}])
+    [row] = run_sweep(parse_sweep_config(data))
+    assert row.mc is not None and row.mc_stderr > 0.0
 
 
 def _sample_rows():

@@ -34,6 +34,15 @@ def test_information_vanishes_without_taps_or_light():
         assert mutual_information(spec, 0.5, 0.0).mutual_info_bits == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::demonlab.fock.LowPhotonRegimeWarning")
+def test_information_vanishes_without_taps_for_bright_thermal_baths():
+    """Nothing clicks at r2 = 0; a truncation that drops mass unaccounted
+    would show a spurious bit count here (1.76e-4 for the split bath at a
+    fixed cutoff of 12)."""
+    for spec in (SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5)):
+        assert mutual_information(spec, 0.0, 1.0).mutual_info_bits <= 1e-12, spec
+
+
 def test_full_tap_leaves_nothing_to_reveal():
     # r = 1 sends every photon to the monitors: both always click on a pair,
     # nothing is kept, and both entropies collapse

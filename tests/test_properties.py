@@ -1,32 +1,46 @@
 """Invariants of the exact layer over random baths, taps, losses and policies.
 
-The pipeline (``propagate``, ``expected_power``) shares the per-arm kernel;
-the oracle walks every photon path on its own, so their agreement anywhere
-in the parameter space is a check of the kernel and the switch.
+``propagate`` runs the per-arm kernel; the oracle walks every photon path
+on its own, so their agreement anywhere in the parameter space is a check
+of the kernel and the switch.  ``expected_power`` takes its click table from
+the bath's generating function instead, and is checked against the tables
+``propagate`` builds: the oracle vouches for those.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from demonlab.oracle import compare, enumerate_outcomes
 from demonlab.protocol import (
+    ALL_BAR,
     ALL_CROSS,
     ALL_PATTERNS,
     Policy,
     SwitchState,
     canonical_policy,
     detector_probs,
+    _click_table,
     expected_power,
     propagate,
 )
-from demonlab.sources import PAIR_KINDS, SourceSpec, make_source
+from demonlab.sources import SourceSpec, make_source
 
 # the warning guards the closed forms, which play no part here
 pytestmark = pytest.mark.filterwarnings("ignore::demonlab.fock.LowPhotonRegimeWarning")
 
 _unit = st.floats(0.0, 1.0)
+
+
+def pair_baths(least: float = 0.0):
+    """The two pair baths; ``s2`` in [least, 0.1]."""
+    return st.one_of(
+        st.builds(lambda s2: SourceSpec.correlated(s2=s2), st.floats(least, 0.1)),
+        st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2),
+                  st.floats(least, 0.1), _unit),
+    )
 
 
 def baths(least: float = 0.0, brightest: float = 0.2):
@@ -35,9 +49,7 @@ def baths(least: float = 0.0, brightest: float = 0.2):
     return st.one_of(
         st.builds(SourceSpec.uncorrelated, nbar),
         st.builds(SourceSpec.split_thermal, nbar),
-        st.builds(lambda s2: SourceSpec.correlated(s2=s2), st.floats(least, 0.1)),
-        st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2),
-                  st.floats(least, 0.1), _unit),
+        pair_baths(least),
     )
 
 
@@ -57,12 +69,25 @@ def test_pipeline_matches_oracle_and_keeps_mass(spec, r2, eps2, policy, cutoff):
     assert abs(mass - 1.0) <= 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(baths(brightest=2.0), _unit, _unit, st.integers(2, 6))
+def test_click_table_bounds_propagated_tables(spec, r2, eps2, cutoff):
+    """Each of the 16 pre-switch click cells of a truncated table lies at or
+    below the exact cell, by no more than the mass the truncation leaves out."""
+    r = math.sqrt(r2)
+    outcome = propagate(make_source(spec, cutoff), r, eps2, ALL_BAR)
+    cells = np.zeros((2, 2, 2, 2))
+    for (out_a, out_b, dem_a, dem_b, _, _), p in outcome.dist.entries.items():
+        cells[tuple(int(n >= 1) for n in (out_a, dem_a, out_b, dem_b))] += p
+    exact = _click_table(spec, r, eps2)
+    lost = outcome.dist.lost_mass
+    assert np.all(cells <= exact + 1e-12)
+    assert np.all(cells >= exact - lost - 1e-12)
+
+
 def _power_from_propagate(spec, r2, eps2, normalization) -> float:
     """The estimator's expectation from two propagated outcome tables."""
-    cutoff = 2
-    while make_source(spec, cutoff).lost_mass > 1e-9:
-        cutoff += 1
-    state = make_source(spec, cutoff)
+    state = make_source(spec, 2)  # a pair source is whole at two photons an arm
     r = math.sqrt(r2)
     ff = propagate(state, r, eps2, canonical_policy(spec.kind))
     cross = propagate(state, r, eps2, ALL_CROSS)
@@ -77,12 +102,11 @@ def _power_from_propagate(spec, r2, eps2, normalization) -> float:
     return imbalance / (coincidences / (2.0 * r2 * (1.0 - r2)))
 
 
-# the reference cutoff grows fast with nbar (16 for a split bath at 0.2,
-# where one reference costs 0.6 s), so the thermal baths stop at 0.1 here
+# the pair baths have no truncation, so whole powers compare to rounding
 @settings(max_examples=30, deadline=None)
-@given(baths(1e-3, 0.1), st.floats(0.01, 0.99), st.floats(0.01, 1.0), st.booleans())
+@given(pair_baths(1e-3), st.floats(0.01, 0.99), st.floats(0.01, 1.0), st.booleans())
 def test_expected_power_matches_propagated_tables(spec, r2, eps2, pairs):
-    normalization = "pairs" if pairs and spec.kind in PAIR_KINDS else "singles"
+    normalization = "pairs" if pairs else "singles"
     got = expected_power(spec, math.sqrt(r2), eps2, normalization)
     want = _power_from_propagate(spec, r2, eps2, normalization)
     assert abs(got - want) <= 1e-12

@@ -23,7 +23,6 @@ from demonlab.protocol import (
     TABLE_THERMAL,
     arm_kernel,
     canonical_policy,
-    delta_n,
     detector_probs,
     expected_power,
     propagate,
@@ -158,13 +157,6 @@ def test_loss_modes_track_upstream_attenuation():
     assert all(occ[4] == 0 and occ[5] == 0 for occ in perfect.dist.entries)
 
 
-def test_delta_n_scaling():
-    assert delta_n(0.3, 0.1, 10.0) == pytest.approx(2.0, abs=1e-15)
-    assert delta_n(0.2, 0.2) == 0.0
-    with pytest.raises(ValueError):
-        delta_n(0.3, 0.1, -1.0)
-
-
 def test_clicks_count_any_occupation():
     # two photons on one detector still count as a single click
     dist = JointOccupationDistribution(OUTCOME_MODES, {(2, 0, 0, 0, 0, 0): 1.0}, cutoff=2)
@@ -197,7 +189,7 @@ def test_arm_kernel_rows_are_distributions():
 
 def test_expected_power_reference_values():
     thermal = expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 1.0, "singles")
-    assert abs(thermal - 0.023229) < 1e-6
+    assert abs(thermal - 0.0232288037166) < 1e-12
     pairs = expected_power(SourceSpec.correlated(s2=0.01), R_HALF, 1.0, "pairs")
     assert abs(pairs - 0.5) < 1e-12
     anti = expected_power(SourceSpec.anti_correlated(s2=0.01, v2=0.87), R_HALF, 1.0,
@@ -214,6 +206,7 @@ def test_expected_power_refuses_what_it_cannot_compute():
         expected_power(SourceSpec.correlated(s2=0.01), 0.0, 1.0, "pairs")
     with pytest.raises(ValueError, match="denominator"):
         expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 0.0, "singles")
-    # a bright bath would need an unbounded table; it is refused instead
-    with pytest.warns(Warning), pytest.raises(ValueError, match="too bright"):
-        expected_power(SourceSpec.split_thermal(2.0), R_HALF, 1.0, "singles")
+    # brightness is no limit: the generating function needs no truncation
+    with pytest.warns(Warning):
+        bright = SourceSpec.split_thermal(2.0)
+    assert abs(expected_power(bright, R_HALF, 1.0, "singles")) <= 1e-15
