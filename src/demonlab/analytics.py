@@ -9,12 +9,14 @@ monitor tap, no power when everything is tapped.  Writing ``R2 = r**2``:
 * split thermal: identically 0 at every reflectivity
 * cross-mode pairs, per single: ``2 * eps2 * R2 * (1 - R2)``;
   per pair: ``2 * R2 * (1 - R2)``
-* bunched pairs, per single: ``2 * eps2 * (2 * v2 - 1) * R2 * (1 - R2)``;
+* bunched pairs, per single:
+  ``4 * eps2 * (2 * v2 - 1) * R2 * (1 - R2) / (2 - v2 * eps2 * (1 - R2))``;
   per pair: ``2 * (2 * v2 - 1) * R2 * (1 - R2)``
 
-The thermal law is first order in ``nbar``.  The exact reference for a
-simulated power is ``protocol.expected_power``, the expectation of the
-Monte Carlo estimator at every order, taken from the bath's generating
+The laws count output clicks, as the simulation does; the pair laws are
+exact and the thermal law is first order in ``nbar``.  The exact reference
+for a simulated power is ``protocol.expected_power``, the expectation of
+the Monte Carlo estimator at every order, taken from the bath's generating
 function; checks compare the simulation with it, not with these laws.
 """
 from __future__ import annotations
@@ -56,17 +58,21 @@ def closed_form_power(kind: SourceKind, normalization: Normalization, r, *,
         return 2.0 * nbar / (1.0 - nbar) ** 2 * tap
 
     if kind is SourceKind.CORRELATED:
-        visibility_factor = 1.0
+        visibility_factor, bunched = 1.0, 0.0
     else:
         if v2 is None:
             raise ValueError("anti_correlated power requires v2")
-        visibility_factor = 2.0 * as_visibility(v2) - 1.0
+        bunched = as_visibility(v2)
+        visibility_factor = 2.0 * bunched - 1.0
 
     if normalization is Normalization.PAIRS:
         return 2.0 * visibility_factor * tap
     if eps2 is None:
         raise ValueError(f"singles-normalized {kind.value} power requires eps2")
-    return 2.0 * as_efficiency(eps2) * visibility_factor * tap
+    eps2 = as_efficiency(eps2)
+    # two kept photons of a bunched pair click once: the singles estimate per
+    # pair is eps2 * (2 - v2 * eps2 * (1 - R2)) / 2, not eps2
+    return 4.0 * eps2 * visibility_factor * tap / (2.0 - bunched * eps2 * (1.0 - r * r))
 
 
 def peak_enhancement_ratio(nbar: float) -> float:

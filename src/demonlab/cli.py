@@ -2,7 +2,7 @@
 
 Subcommands: ``sweep`` (config-driven reflectivity sweeps), ``mc`` (one
 simulated acquisition), ``info`` (monitor/output mutual information),
-``check`` (self-test battery), ``g2`` (source intensity correlation).
+``check`` (self-test table), ``g2`` (source intensity correlation).
 
 Seed precedence is command line flag, then the ``DEMONLAB_SEED``
 environment variable, then the config file or the built-in default.
@@ -101,9 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "from 12 up to 64 that leaves out <= 1e-13 of the bath)")
     info.add_argument("--out", help="output file (default stdout)")
 
-    check = sub.add_parser("check", help="run the self-test battery")
-    check.add_argument("--full", action="store_true",
-                       help="full statistics (slow); default is quick")
+    sub.add_parser("check", help="run the self-test table")
 
     g2 = sub.add_parser("g2", help="source intensity correlation")
     g2.add_argument("--nbar", type=float, required=True)
@@ -189,7 +187,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    return 0 if run_checks(quick=not args.full) else 1
+    return 0 if run_checks() else 1
 
 
 def _cmd_g2(args) -> int:

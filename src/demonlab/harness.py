@@ -32,14 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import Normalization, closed_form_power
+from .analytics import Normalization, closed_form_power, peak_enhancement_ratio
 from .information import mutual_information
 from .montecarlo import measure_power
-from .oracle import compare, enumerate_outcomes
-from .protocol import canonical_policy, expected_power, propagate
+from .oracle import (compare, enumerate_outcomes, symbolic_delta_pairs,
+                     symbolic_delta_uncorrelated, truncated_uncorrelated_delta)
+from .protocol import (TABLE_PAIR, TABLE_THERMAL, canonical_policy, expected_power,
+                       propagate)
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, make_source
 
 DEFAULT_GRID = {"start": 0.0, "stop": 0.5, "step": 0.025}
+MAX_GRID_POINTS = 10_001
 
 ENGINES = ("analytic", "montecarlo", "both")
 
@@ -166,7 +169,10 @@ def _parse_grid(data, path: str) -> tuple[float, ...]:
             raise _fail(f"{path}.step", "must be > 0")
         if stop < start:
             raise _fail(f"{path}.stop", "must be >= start")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_GRID_POINTS:  # also catches inf and nan
+            raise _fail(f"{path}.step", f"more than {MAX_GRID_POINTS} grid points")
+        count = int(math.floor(span)) + 1
         values = [start + i * step for i in range(count)]
     else:
         raise _fail(path, "expected a list of reflectivities or "
@@ -476,128 +482,129 @@ def emit_report(rows, stream, format: str) -> None:
         raise ConfigError(f"config: unknown report format {format!r}")
 
 
-def _check_budget(quick: bool) -> tuple[int, float]:
-    return (100_000, 4.0) if quick else (10_000_000, 3.0)
+def _power_check(spec: SourceSpec, normalization: Normalization, seed: int):
+    """Simulated power at r2 0.5, eps2 1 and 1e7 slots, within 3 sigma of exact."""
+    def check():
+        r = math.sqrt(0.5)
+        exact = expected_power(spec, r, 1.0, normalization)
+        m = measure_power(spec, r, 1.0, 10_000_000, seed, normalization)
+        return abs(m.value - exact) <= 3.0 * m.stderr, (
+            f"{normalization.value} power {m.value:.5f} vs exact {exact:.5f} "
+            f"+- {3.0 * m.stderr:.5f} (seed {seed}, 1e7 slots)")
+    return check
 
 
-def _check_correlated_pair_power(quick: bool):
-    slots, k = _check_budget(quick)
-    spec = SourceSpec.correlated(s2=0.01)
-    m = measure_power(spec, math.sqrt(0.5), 1.0, slots, 11, Normalization.PAIRS)
-    ok = abs(m.value - 0.5) <= k * m.stderr
-    return ok, f"pair-normalized power {m.value:.4f} vs 0.5 +- {k * m.stderr:.4f}"
+def _check_closed_forms():
+    r, pairs, singles = math.sqrt(0.5), Normalization.PAIRS, Normalization.SINGLES
+    corr = closed_form_power(SourceKind.CORRELATED, pairs, r)
+    anti, null = (closed_form_power(SourceKind.ANTI_CORRELATED, pairs, r, v2=v2)
+                  for v2 in (0.87, 0.5))
+    thermal = closed_form_power(SourceKind.UNCORRELATED, singles, r, nbar=0.05)
+    split = max(abs(closed_form_power(SourceKind.SPLIT_THERMAL, singles,
+                                      math.sqrt(k * 0.025), nbar=0.05)) for k in range(21))
+    ratio = peak_enhancement_ratio(0.05)
+    ok = (corr == 0.5 and abs(anti / corr - 0.74) <= 1e-15 and null == 0.0
+          and abs(thermal - 0.0277) <= 1e-4 and split <= 1e-12 and ratio >= 10.0)
+    return ok, (f"corr pairs {corr} (0.5), anti/corr {anti / corr:.15f} (0.74), "
+                f"v2=0.5 law {null} (0), thermal peak {thermal:.6f} (0.0277+-1e-4), "
+                f"split worst {split:.1e} (<=1e-12), peak ratio {ratio:.2f} (>=10)")
 
 
-def _check_split_null(quick: bool):
-    slots, k = _check_budget(quick)
-    spec = SourceSpec.split_thermal(0.05)
-    worst = max(abs(closed_form_power(spec.kind, Normalization.SINGLES,
-                                      math.sqrt(r2), nbar=0.05, eps2=1.0))
-                for r2 in (0.1, 0.25, 0.5))
-    if worst > 1e-12:
-        return False, f"closed form not null: {worst:.3g}"
-    m = measure_power(spec, math.sqrt(0.5), 1.0, slots, 12,
-                      Normalization.SINGLES)
-    ok = abs(m.value) <= k * m.stderr
-    return ok, f"balanced-split power {m.value:.2e} vs 0 +- {k * m.stderr:.2e}"
-
-
-def _check_uncorrelated_thermal_power(quick: bool):
-    slots, k = _check_budget(quick)
-    spec = SourceSpec.uncorrelated(0.05)
-    exact = expected_power(spec, math.sqrt(0.5), 1.0, Normalization.SINGLES)
-    m = measure_power(spec, math.sqrt(0.5), 1.0, slots, 13,
-                      Normalization.SINGLES)
-    ok = abs(m.value - exact) <= k * m.stderr
-    return ok, (f"thermal power {m.value:.5f} vs exact {exact:.5f} "
-                f"+- {k * m.stderr:.5f}")
-
-
-def _check_anti_correlated_ratio(quick: bool):
-    slots, k = _check_budget(quick)
-    corr = closed_form_power(SourceKind.CORRELATED, Normalization.PAIRS,
-                             math.sqrt(0.5))
-    anti = closed_form_power(SourceKind.ANTI_CORRELATED, Normalization.PAIRS,
-                             math.sqrt(0.5), v2=0.87)
-    if abs(anti / corr - 0.74) > 1e-12:
-        return False, f"closed-form ratio {anti / corr:.6f} != 0.74"
-    null = closed_form_power(SourceKind.ANTI_CORRELATED, Normalization.PAIRS,
-                             math.sqrt(0.5), v2=0.5)
-    if abs(null) > 1e-12:
-        return False, f"closed form at v2=0.5 not null: {null:.3g}"
-    spec = SourceSpec.anti_correlated(s2=0.01, v2=0.87)
-    m = measure_power(spec, math.sqrt(0.5), 1.0, slots, 14, Normalization.PAIRS)
-    ok = abs(m.value - anti) <= k * m.stderr
-    return ok, f"anti power {m.value:.4f} vs {anti:.4f} +- {k * m.stderr:.4f}"
-
-
-def _check_oracle_match(quick: bool):
+def _check_oracle_match():
+    grid, effs = (0.0, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5), (1.0, 0.8, 0.14)
+    specs = (SourceSpec.uncorrelated(0.05), SourceSpec.split_thermal(0.05),
+             SourceSpec.correlated(s2=0.01), SourceSpec.anti_correlated(s2=0.01, v2=0.87))
     worst = 0.0
-    cases = [(SourceSpec.uncorrelated(0.05), 1.0),
-             (SourceSpec.split_thermal(0.05), 0.8),
-             (SourceSpec.correlated(s2=0.01), 1.0),
-             (SourceSpec.anti_correlated(s2=0.01, v2=0.87), 0.14)]
-    for spec, eps2 in cases:
-        for r2 in (0.0, 0.25, 0.5):
-            r = math.sqrt(r2)
-            policy = canonical_policy(spec.kind)
-            report = enumerate_outcomes(spec, r, eps2, policy)
+    for spec in specs:
+        policy = canonical_policy(spec.kind)
+        for r, eps2 in ((math.sqrt(r2), eps2) for r2 in grid for eps2 in effs):
             outcome = propagate(make_source(spec), r, eps2, policy)
-            worst = max(worst, compare(report, outcome))
-    return worst <= 1e-12, f"worst path-sum vs transfer deviation {worst:.2e}"
+            worst = max(worst, compare(enumerate_outcomes(spec, r, eps2, policy), outcome))
+    corr, anti = (spec.with_drop_vacuum() for spec in specs[2:])
+    gaps = []
+    for r in (math.sqrt(r2) for r2 in grid[1:]):
+        gaps += [symbolic_delta_uncorrelated(0.05, r)
+                 - truncated_uncorrelated_delta(0.05, r, TABLE_THERMAL),
+                 enumerate_outcomes(specs[1], r, 1.0, TABLE_THERMAL).delta]
+        for eps2 in effs:
+            gaps += [enumerate_outcomes(corr, r, eps2, TABLE_PAIR).delta
+                     - symbolic_delta_pairs(1.0, r, eps2),
+                     enumerate_outcomes(anti, r, eps2, TABLE_THERMAL).delta
+                     - symbolic_delta_pairs(1.0, r, eps2, visibility_factor=0.74)]
+    symbolic = max(abs(g) for g in gaps)
+    return worst <= 1e-12 and symbolic <= 1e-10, (
+        f"path sum vs transfer worst {worst:.2e} (<=1e-12, 84 cells), "
+        f"symbolic worst {symbolic:.2e} (<=1e-10)")
 
 
-def _check_info_ordering(quick: bool):
+def _check_info():
     eps2 = 0.14
-    r = math.sqrt(0.25)
-    uncorr = mutual_information(SourceSpec.uncorrelated(0.05), r, eps2)
-    corr = mutual_information(SourceSpec.correlated(s2=0.01), r, eps2)
-    # The classic comparison puts the split bath's parent at the per-arm
-    # brightness of the uncorrelated bath (arms at nbar/2); at equal
-    # per-arm brightness the split bath reveals about twice as much.
-    split = mutual_information(SourceSpec.split_thermal(0.025), r, eps2)
-    zero = mutual_information(SourceSpec.correlated(s2=0.01), 0.0, eps2)
-    checks = [zero.mutual_info_bits <= 1e-12,
-              corr.mutual_info_bits >= uncorr.mutual_info_bits,
-              split.mutual_info_bits <= uncorr.mutual_info_bits + 1e-12,
-              all(x.mutual_info_bits <= 2.0 + 1e-9
-                  for x in (uncorr, corr, split))]
-    return all(checks), (f"I_corr={corr.mutual_info_bits:.2e} "
-                         f"I_uncorr={uncorr.mutual_info_bits:.2e} "
-                         f"I_split={split.mutual_info_bits:.2e} "
-                         f"I(r=0)={zero.mutual_info_bits:.2e}")
+    specs = {"uncorr": SourceSpec.uncorrelated(0.05),
+             "split": SourceSpec.split_thermal(0.05),
+             "corr": SourceSpec.correlated(s2=0.01),
+             "anti": SourceSpec.anti_correlated(s2=0.01, v2=0.87)}
+    zero = max(mutual_information(s, 0.0, eps2).mutual_info_bits for s in specs.values())
+    ok = zero <= 1e-12
+    for k in range(1, 11):
+        bits = {name: mutual_information(spec, math.sqrt(k * 0.05), eps2).mutual_info_bits
+                for name, spec in specs.items()}
+        ok &= all(v <= 2.0 + 1e-12 for v in bits.values())
+        ok &= bits["corr"] > bits["uncorr"] and bits["anti"] > bits["uncorr"]
+    # perfect coupling pins the full 2-bit record
+    saturated = mutual_information(specs["corr"], math.sqrt(0.5), 1.0).mutual_info_bits
+    # at matched flux the split bath's parent mode carries what one
+    # uncorrelated arm does, so each split arm runs at nbar / 2
+    uncorr = mutual_information(specs["uncorr"], 0.5, eps2).mutual_info_bits
+    split = mutual_information(SourceSpec.split_thermal(0.025), 0.5, eps2).mutual_info_bits
+    ok &= abs(saturated - 2.0) <= 1e-12 and split <= uncorr
+    return ok, (f"I(r=0) {zero:.1e} (<=1e-12), I<=2 bits (saturated {saturated:.3f}), "
+                f"pair baths beat thermal over r2 0.05-0.5, split at matched flux "
+                f"{split:.2e} <= uncorr {uncorr:.2e} bits")
 
 
-def _check_g2(quick: bool):
+def _check_g2():
     from .fock import LowPhotonRegimeWarning
-    from .montecarlo import estimate_g2
+    from .montecarlo import estimate_g2, fit_gaussian_memory_tau_c
 
-    slots = 200_000 if quick else 1_000_000
-    tol = 0.15 if quick else 0.05
     with warnings.catch_warnings():
         # nbar = 0.5 is deliberate here: bunching is easiest to resolve bright
         warnings.simplefilter("ignore", LowPhotonRegimeWarning)
         spec = SourceSpec.uncorrelated(0.5)
-    samples = dict(estimate_g2(spec, slots, 15, [0, 5]))
-    ok = abs(samples[0] - 2.0) <= tol and abs(samples[5] - 1.0) <= tol
-    return ok, f"g2(0)={samples[0]:.3f} g2(5)={samples[5]:.3f} +- {tol}"
+    iid = dict(estimate_g2(spec, 1_000_000, 108, (0, 5, 20)))
+    ok = all(abs(iid[tau] - want) <= 0.05 for tau, want in ((0, 2.0), (5, 1.0), (20, 1.0)))
+    samples = estimate_g2(spec, 1_000_000, 109, (0, 2, 4, 6, 8, 12, 16, 24, 32),
+                          model="gaussian-memory", tau_c=8.0)
+    fitted = fit_gaussian_memory_tau_c(samples)
+    ok &= abs(fitted - 8.0) / 8.0 <= 0.10
+    return ok, (f"g2(0) {iid[0]:.3f}, g2(5) {iid[5]:.3f}, g2(20) {iid[20]:.3f} "
+                f"(2, 1, 1 +- 0.05), memory fit tau_c {fitted:.3f} vs 8 (<=10%)")
 
 
-CHECK_NAMES = ("correlated_pair_power", "split_null",
-               "uncorrelated_thermal_power", "anti_correlated_ratio",
-               "oracle_match", "info_ordering", "g2")
+#: The self-test table: ``(name, check)``, each ``check()`` giving ``(ok, detail)``.
+#: The power rows come from ``(name, bath, normalization, seed)``.
+CHECKS = (
+    *((name, _power_check(spec, norm, seed)) for name, spec, norm, seed in (
+        ("correlated_pair_power", SourceSpec.correlated(s2=0.01), Normalization.PAIRS, 101),
+        ("split_null", SourceSpec.split_thermal(0.05), Normalization.SINGLES, 12),
+        ("uncorrelated_thermal_power", SourceSpec.uncorrelated(0.05),
+         Normalization.SINGLES, 103),
+        ("anti_correlated_power", SourceSpec.anti_correlated(s2=0.01, v2=0.87),
+         Normalization.PAIRS, 104))),
+    ("closed_forms", _check_closed_forms),
+    ("oracle_match", _check_oracle_match),
+    ("info", _check_info),
+    ("g2", _check_g2),
+)
 
 
-def run_checks(quick: bool = True, stream=None) -> bool:
-    """Run the self-test battery; one PASS/FAIL line per check."""
+def run_checks(stream=None) -> bool:
+    """Run every row of ``CHECKS``; one PASS/FAIL line per row."""
     if stream is None:
         stream = sys.stdout
-    module = sys.modules[__name__]
     all_ok = True
-    for name in CHECK_NAMES:
-        check = getattr(module, f"_check_{name}")
+    for name, check in CHECKS:
         try:
-            ok, detail = check(quick)
+            ok, detail = check()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok

@@ -28,12 +28,13 @@ the occupied slots after the fates, walk only the clicks to find the
 effective ones, and carry the last effective click into the next block, so
 a window that crosses a block boundary keeps its held state.
 
-Determinism: a run is a pure function of its config.  Every block consumes
-its own child of ``numpy.random.SeedSequence(seed)``.  Runs without a dead
-window are independent per block, so they can be sharded by block and the
-shards merged by summation; dead-window runs carry switch state from block
-to block and cannot.  ``STREAM_VERSION`` names the stream a seed yields; it
-goes up whenever a change alters the tallies of any seed.
+Determinism: a run is a pure function of its config.  Block ``i`` consumes
+``SeedSequence(seed, spawn_key=(i,))``, the child ``spawn`` would give it,
+built alone.  Runs without a dead window are independent per block, so
+they can be sharded by block and the shards merged by summation;
+dead-window runs carry switch state from block to block and cannot.
+``STREAM_VERSION`` names the stream a seed yields; it goes up whenever a
+change alters the tallies of any seed.
 
 Counting conventions, chosen to mirror how the hardware is read out:
 
@@ -244,14 +245,14 @@ def run(config: RunConfig) -> RunResult:
     window = config.dead_window_slots if mode is RunMode.FEED_FORWARD else 0
 
     n_blocks = (config.slots + BLOCK - 1) // BLOCK
-    children = np.random.SeedSequence(config.seed).spawn(n_blocks)
 
     tally_a = tally_b = single_sided = coincidences = suppressed = 0
     carry = (-window - 1, False)  # last effective click, dead-window state
     for i in range(n_blocks):
         base = i * BLOCK
         size = min(BLOCK, config.slots - base)
-        rng = np.random.Generator(np.random.PCG64(children[i]))
+        child = np.random.SeedSequence(config.seed, spawn_key=(i,))
+        rng = np.random.Generator(np.random.PCG64(child))
         k = int(rng.binomial(size, 1.0 - p_vac))
         if k == 0:
             continue

@@ -29,7 +29,6 @@ from .fock import (
     JointOccupationDistribution,
     as_nbar,
     as_visibility,
-    thermal_pmf,
 )
 
 IN_A = "In_A"
@@ -160,8 +159,9 @@ def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
 def make_source(spec: SourceSpec,
                 cutoff: int = DEFAULT_CUTOFF) -> JointOccupationDistribution:
     """Build the two-mode input distribution over ``(In_A, In_B)``."""
+    # the spec validated nbar already; fock.thermal_pmf would warn again
     if spec.kind is SourceKind.UNCORRELATED:
-        pmf = [thermal_pmf(spec.nbar, n) for n in range(cutoff + 1)]
+        pmf = [spec.nbar ** n / (1.0 + spec.nbar) ** (n + 1) for n in range(cutoff + 1)]
         entries = {(a, b): pmf[a] * pmf[b]
                    for a in range(cutoff + 1) for b in range(cutoff + 1 - a)}
         lost = 1.0 - math.fsum(entries.values())
@@ -170,7 +170,7 @@ def make_source(spec: SourceSpec,
         total_nbar = 2.0 * spec.nbar
         entries: dict[tuple[int, int], float] = {}
         for tot in range(cutoff + 1):
-            p_tot = thermal_pmf(total_nbar, tot)
+            p_tot = total_nbar ** tot / (1.0 + total_nbar) ** (tot + 1)
             for k in range(tot + 1):
                 entries[(k, tot - k)] = p_tot * math.comb(tot, k) * 0.5 ** tot
         lost = (total_nbar / (1.0 + total_nbar)) ** (cutoff + 1)

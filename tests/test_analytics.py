@@ -44,9 +44,13 @@ def test_anti_correlated_frozen_values():
     pairs = closed_form_power(SourceKind.ANTI_CORRELATED, Normalization.PAIRS,
                               R_HALF, v2=0.87)
     assert abs(pairs - 0.37) < 1e-12
+    # singles count clicks: 4 eps2 (2 v2 - 1) / 4 over 2 - v2 eps2 / 2 at r2 0.5
     singles = closed_form_power(SourceKind.ANTI_CORRELATED, Normalization.SINGLES,
                                 R_HALF, v2=0.87, eps2=0.14)
-    assert abs(singles - 0.0518) < 1e-12
+    assert abs(singles - 0.1036 / 1.9391) < 1e-12
+    singles = closed_form_power(SourceKind.ANTI_CORRELATED, Normalization.SINGLES,
+                                R_HALF, v2=0.87, eps2=1.0)
+    assert abs(singles - 0.74 / 1.565) < 1e-12
 
 
 def test_anti_correlated_half_visibility_cancels():
@@ -85,6 +89,18 @@ def test_power_symmetric_in_reflectivity():
         assert abs(lo - hi) < 1e-12
 
 
+@pytest.mark.parametrize("eps2", [1.0, 0.5, 0.14])
+def test_pair_laws_match_expected_power(eps2):
+    specs = (SourceSpec.correlated(s2=0.01), SourceSpec.anti_correlated(s2=0.01, v2=0.87))
+    for spec in specs:
+        for normalization in Normalization:
+            for r2 in (k * 0.05 for k in range(1, 20)):
+                r = math.sqrt(r2)
+                law = closed_form_power(spec.kind, normalization, r, eps2=eps2, v2=spec.v2)
+                exact = expected_power(spec, r, eps2, normalization)
+                assert abs(law - exact) <= 1e-12, (spec.kind, normalization, r2)
+
+
 def test_closed_form_argument_errors():
     with pytest.raises(ValueError):
         closed_form_power(SourceKind.UNCORRELATED, Normalization.PAIRS, 0.5, nbar=0.05)
@@ -109,8 +125,8 @@ def _pipeline_singles(spec, r2, eps2):
     if spec.kind in (SourceKind.UNCORRELATED, SourceKind.SPLIT_THERMAL):
         norm = spec.nbar / (1.0 + spec.nbar)
     else:
-        w = spec.s * spec.s / (1.0 + spec.s * spec.s)
-        norm = w * eps2
+        # the switch only relabels the arms, so the clicks give the singles flux
+        norm = (p_a + p_b) / 2.0 / (1.0 - r2)
     return (p_a - p_b) / norm
 
 

@@ -1,11 +1,13 @@
 """End-to-end command line tests driven through main()."""
 
 import json
+import warnings
 
 import pytest
 
 import demonlab.harness as harness
 from demonlab.cli import main
+from demonlab.fock import LowPhotonRegimeWarning
 
 
 def test_sweep_preset_to_stdout(capsys):
@@ -161,16 +163,33 @@ def test_info_command(capsys):
     assert payload["mutual_info_bits"] == pytest.approx(2.0, abs=1e-12)
 
 
-def test_check_command_quick(capsys):
+@pytest.mark.parametrize("kind", ["uncorrelated", "split-thermal"])
+def test_info_warns_once_about_the_given_brightness(kind, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["info", "--kind", kind, "--nbar", "0.3"]) == 0
+    low = [w for w in caught if issubclass(w.category, LowPhotonRegimeWarning)]
+    assert len(low) == 1
+    assert "mean photon number 0.3 " in str(low[0].message)
+
+
+def _stub_checks(monkeypatch, **rows):
+    table = tuple((name, rows.get(name, lambda: (True, "stub")))
+                  for name, _ in harness.CHECKS)
+    monkeypatch.setattr(harness, "CHECKS", table)
+
+
+def test_check_command_prints_one_pass_line_per_row(monkeypatch, capsys):
+    _stub_checks(monkeypatch)
     assert main(["check"]) == 0
-    assert "PASS" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        f"PASS {name}: stub" for name, _ in harness.CHECKS]
 
 
 def test_check_command_exit_code_on_failure(monkeypatch, capsys):
-    monkeypatch.setattr(harness, "_check_oracle_match",
-                        lambda quick: (False, "forced"))
+    _stub_checks(monkeypatch, oracle_match=lambda: (False, "forced"))
     assert main(["check"]) == 1
-    assert "FAIL oracle_match" in capsys.readouterr().out
+    assert "FAIL oracle_match: forced" in capsys.readouterr().out
 
 
 def test_g2_command_with_fit(capsys):

@@ -1,4 +1,4 @@
-"""Tests for config parsing, sweep execution, emitters, and the check battery."""
+"""Tests for config parsing, sweep execution, emitters, and the check table."""
 
 import io
 import json
@@ -9,7 +9,7 @@ import pytest
 
 import demonlab.harness as harness
 from demonlab.harness import (
-    CHECK_NAMES,
+    CHECKS,
     ConfigError,
     PRESETS,
     REPORT_FIELDS,
@@ -58,6 +58,16 @@ def test_grid_forms():
         parse_sweep_config(_minimal(grid={"start": 0.4, "stop": 0.1, "step": 0.1}))
     with pytest.raises(ConfigError):
         parse_sweep_config(_minimal(grid=[0.5, 1.0]))  # r2 = 1 is out of range
+
+
+def test_range_grid_is_bounded_before_it_is_built():
+    cfg = parse_sweep_config(_minimal(grid={"start": 0.0, "stop": 0.5, "step": 5e-5}))
+    assert len(cfg.grid) == harness.MAX_GRID_POINTS
+    for step in (1e-12, 4.9e-5, 5e-324):
+        with pytest.raises(ConfigError, match=r"config\.grid\.step"):
+            parse_sweep_config(_minimal(grid={"start": 0.0, "stop": 0.5, "step": step}))
+    with pytest.raises(ConfigError, match=r"config\.grid\.step"):
+        parse_sweep_config(_minimal(grid={"start": 0.0, "stop": 0.5, "step": math.nan}))
 
 
 def test_parse_errors_carry_field_paths():
@@ -278,28 +288,33 @@ def test_emit_report_dispatch():
         emit_report(_sample_rows(), io.StringIO(), "pdf")
 
 
-def test_run_checks_quick_battery_passes():
+def _stub_checks(monkeypatch, **rows):
+    """Swap every row of ``CHECKS`` for a passing stub, or for ``rows[name]``."""
+    table = tuple((name, rows.get(name, lambda: (True, "stub"))) for name, _ in CHECKS)
+    monkeypatch.setattr(harness, "CHECKS", table)
+
+
+def test_run_checks_writes_one_line_per_row_in_order(monkeypatch):
+    _stub_checks(monkeypatch)
     buf = io.StringIO()
-    assert run_checks(quick=True, stream=buf)
-    text = buf.getvalue()
-    for name in CHECK_NAMES:
-        assert f"PASS {name}" in text
+    assert run_checks(stream=buf)
+    assert buf.getvalue().splitlines() == [f"PASS {name}: stub" for name, _ in CHECKS]
 
 
 def test_run_checks_reports_injected_failure(monkeypatch):
-    monkeypatch.setattr(harness, "_check_split_null",
-                        lambda quick: (False, "injected fault"))
+    _stub_checks(monkeypatch, split_null=lambda: (False, "injected fault"))
     buf = io.StringIO()
-    assert not run_checks(quick=True, stream=buf)
+    assert not run_checks(stream=buf)
     assert "FAIL split_null: injected fault" in buf.getvalue()
+    assert buf.getvalue().count("PASS") == len(CHECKS) - 1
 
 
 def test_run_checks_contains_crashes(monkeypatch):
-    def boom(quick):
+    def boom():
         raise RuntimeError("synthetic crash")
 
-    monkeypatch.setattr(harness, "_check_g2", boom)
+    _stub_checks(monkeypatch, g2=boom)
     buf = io.StringIO()
-    assert not run_checks(quick=True, stream=buf)
+    assert not run_checks(stream=buf)
     assert "FAIL g2" in buf.getvalue()
     assert "synthetic crash" in buf.getvalue()

@@ -1,28 +1,34 @@
-"""Pinned SHA-256 digests of the preset reports and of ``info`` on the weak baths.
+"""Pinned SHA-256 digests of the preset reports, of ``info`` on the weak baths,
+and of the event engine's random stream.
 
 A change meant to keep every output byte must leave these digests alone; a
-change that moves an output on purpose updates the digest and says why.
+change that moves an output on purpose updates the digest and says why.  A
+change to the tallies a seed yields must also bump ``STREAM_VERSION``.
 """
 
 import hashlib
+import json
+import math
 
 import pytest
 
 from demonlab.cli import main
+from demonlab.montecarlo import STREAM_VERSION, RunConfig, run
+from demonlab.sources import SourceSpec
 
 PRESET_DIGESTS = {
-    ("fig4a", "csv"): "14bd2ecce6c3723d015e2a7b89152a6309346168976bec825bc4eaf60075e741",
-    ("fig4a", "json"): "a9df544d7dbf5376b65d8ba4b5fdd0fe793510db66a4eaf147e3e101024659c6",
-    ("fig4a", "svg"): "44a8c46f1422439c47cdf20aa7d172372e67d90d8327d70cc33158fac9f0d381",
+    ("fig4a", "csv"): "63379bf2fdcbf6e1617e55df076a4d8e81496de121500b537bccb1784a854f3a",
+    ("fig4a", "json"): "a1c3d9f84c891ca9a4c1cd1a713f57cdb03bb122cf34c549eabfa0d4cf9cb9ad",
+    ("fig4a", "svg"): "5d8c718dacb52a1af36ec53783d25037160219b65b98e3f408e833f9774d97ac",
     ("fig4b", "csv"): "5309dad822fc618edc4bab1c4fdf7f5121a266a425ae47407847555f48027c62",
     ("fig4b", "json"): "c1c61c7ed1eb79c4c897b307bc79034af8774c6562a53ab24e7fed17429e6dcf",
     ("fig4b", "svg"): "84ba4837da4129db4e43c5097c20ce25a6e255679fd9e9cc951365cd14ef1d5c",
-    ("fig5a", "csv"): "f2e0b9ef3dadccbe64dc5b2cf2f3184a410dcdb0312c226ac91946be43c30cf4",
-    ("fig5a", "json"): "b37556970f5cebf744e6217bf9fc10d2dca582647d9a809ad27b0032be632e6c",
-    ("fig5a", "svg"): "44a8c46f1422439c47cdf20aa7d172372e67d90d8327d70cc33158fac9f0d381",
-    ("fig5b", "csv"): "4f2b775ee0a19ae863afa70cdc82704f56795c8b9ee39b07341f9339fa63a6f2",
-    ("fig5b", "json"): "1b33e4eecbe4f7db9d72c49ad41a35bde6d5e159d318ec413e8be4bbd9d6b433",
-    ("fig5b", "svg"): "df9444ae4db934af21518490aea4bafa247c82e514b7d5cb4cbd8f3b6f29b7ed",
+    ("fig5a", "csv"): "3fcec38007767ecd21831b3b88e21d2d2c5acd7f6887f8fc36cec5f8c0691ce8",
+    ("fig5a", "json"): "5f130fcc9f3f5575f15118ff94813194671ff802cc3ecc1522c385ff5612f9d0",
+    ("fig5a", "svg"): "5d8c718dacb52a1af36ec53783d25037160219b65b98e3f408e833f9774d97ac",
+    ("fig5b", "csv"): "27db5296a38c42918f0a92e0a6bf1e4bd873a9101c91bafd189293bc51eaec20",
+    ("fig5b", "json"): "436890b39f918298b04bae7412b690534a3ad4b6a856d022ae0dd25d851e6e81",
+    ("fig5b", "svg"): "f1adab05fc341480c3a66bca7f2273b3c420c602b3d49e74b9f20818cfab3558",
 }
 
 # default tap (r2 0.5) and coupling (eps2 1)
@@ -52,3 +58,19 @@ def test_preset_report_bytes_are_pinned(preset, fmt, capsys):
 @pytest.mark.parametrize("flags", sorted(INFO_DIGESTS))
 def test_info_bytes_are_pinned(flags, capsys):
     assert _stdout_digest(["info", *flags], capsys) == INFO_DIGESTS[flags]
+
+
+def test_stream_is_pinned_per_version():
+    """Tallies of one small run per weak bath and mode, hashed."""
+    baths = (SourceSpec.uncorrelated(0.05), SourceSpec.split_thermal(0.05),
+             SourceSpec.correlated(s2=0.01), SourceSpec.anti_correlated(s2=0.01, v2=0.87))
+    tallies = []
+    for spec in baths:
+        for mode, window in (("bar", 0), ("cross", 0), ("feed_forward", 0),
+                             ("feed_forward", 5)):
+            res = run(RunConfig(spec=spec, r=math.sqrt(0.3), eps2=0.7, slots=50_000,
+                                seed=20210720, mode=mode, dead_window_slots=window))
+            tallies.append([spec.kind.value, mode, window, res.n_a, res.n_b,
+                            res.coincidences, res.lost_to_dead_window])
+    digest = hashlib.sha256(json.dumps(tallies).encode()).hexdigest()[:16]
+    assert digest == {2: "17493d65a66e77a9"}[STREAM_VERSION]

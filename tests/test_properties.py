@@ -18,6 +18,7 @@ from demonlab.protocol import (
     ALL_BAR,
     ALL_CROSS,
     ALL_PATTERNS,
+    ClickPattern,
     Policy,
     SwitchState,
     canonical_policy,
@@ -110,3 +111,35 @@ def test_expected_power_matches_propagated_tables(spec, r2, eps2, pairs):
     got = expected_power(spec, math.sqrt(r2), eps2, normalization)
     want = _power_from_propagate(spec, r2, eps2, normalization)
     assert abs(got - want) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 2.0), _unit, _unit, st.sampled_from(ALL_PATTERNS))
+def test_split_bath_gives_no_imbalance_under_any_single_swap(nbar, r2, eps2, pattern):
+    table = _click_table(SourceSpec.split_thermal(nbar), math.sqrt(r2), eps2)
+    policy = Policy.swap_on(pattern)
+    out_a, mon_a, out_b, mon_b = np.indices(table.shape)
+    cross = np.array([[policy.switch_for(ClickPattern(a, b)) is SwitchState.CROSS
+                       for b in (False, True)] for a in (False, True)])[mon_a, mon_b]
+    imbalance = np.sum(table * np.where(cross, out_b - out_a, out_a - out_b))
+    assert abs(imbalance) <= 1e-15
+
+
+#: Baths and normalizations whose power is symmetric under r2 <-> 1 - r2.
+#: The thermal powers are not, and neither is bunched singles: the clicks
+#: a bunched pair gives depend on r2.
+symmetric_powers = st.one_of(
+    st.tuples(st.builds(lambda s2: SourceSpec.correlated(s2=s2), st.floats(1e-3, 0.1)),
+              st.sampled_from(["singles", "pairs"])),
+    st.tuples(st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2),
+                        st.floats(1e-3, 0.1), _unit), st.just("pairs")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_powers, st.floats(0.01, 0.99), st.floats(0.01, 1.0))
+def test_pair_power_is_symmetric_in_reflectivity(case, r2, eps2):
+    spec, normalization = case
+    lo = expected_power(spec, math.sqrt(r2), eps2, normalization)
+    hi = expected_power(spec, math.sqrt(1.0 - r2), eps2, normalization)
+    assert abs(lo - hi) <= 1e-12
