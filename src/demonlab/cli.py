@@ -43,10 +43,10 @@ def _resolve_seed(cli_seed, config_seed=None, default=1) -> int:
     return config_seed if config_seed is not None else default
 
 
-def _spec_from_args(args, needs_events: bool) -> SourceSpec:
+def _spec_from_args(args) -> SourceSpec:
     fields = {key: getattr(args, key) for key in ("kind", "nbar", "s2", "v2")
               if getattr(args, key) is not None}
-    return _parse_source(fields, "source", needs_events).spec
+    return _parse_source(fields, "source").spec
 
 
 def _tap_amplitude(r2: float) -> float:
@@ -97,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="monitor/output mutual information")
     _add_source_flags(info)
     info.add_argument("--cutoff", type=int,
-                      help="photon-number truncation (default: the smallest "
-                           "from 12 up to 64 that leaves out <= 1e-13 of the bath)")
+                      help="photon-number truncation, at most 64 (default: the "
+                           "smallest from 12 up that leaves out <= 1e-13 of the bath)")
     info.add_argument("--out", help="output file (default stdout)")
 
     sub.add_parser("check", help="run the self-test table")
@@ -150,7 +150,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    spec = _spec_from_args(args, needs_events=True)
+    spec = _spec_from_args(args)
     seed = _resolve_seed(args.seed)
     r = _tap_amplitude(args.r2)
     if args.normalization:
@@ -177,7 +177,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    spec = _spec_from_args(args, needs_events=False)
+    spec = _spec_from_args(args)
     result = mutual_information(spec, _tap_amplitude(args.r2), args.eps2,
                                 cutoff=args.cutoff)
     payload = {"mutual_info_bits": result.mutual_info_bits,

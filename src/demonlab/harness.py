@@ -84,11 +84,10 @@ class SweepConfig:
     sources: tuple[SourceSeries, ...]
 
 
-def _parse_source(data, path: str, needs_events: bool) -> SourceSeries:
+def _parse_source(data, path: str) -> SourceSeries:
     if not isinstance(data, dict):
         raise _fail(path, "each source must be an object")
-    known = {"name", "kind", "nbar", "s2", "v2", "eps2", "normalization",
-             "drop_vacuum"}
+    known = {"name", "kind", "nbar", "s2", "v2", "eps2", "normalization"}
     for key in data:
         if key not in known:
             raise _fail(f"{path}.{key}", "unknown field")
@@ -101,12 +100,6 @@ def _parse_source(data, path: str, needs_events: bool) -> SourceSeries:
         raise _fail(f"{path}.kind",
                     f"unknown kind {kind_raw!r}; expected one of "
                     f"{sorted(k.value for k in SourceKind)}") from None
-    drop_vacuum = data.get("drop_vacuum", False)
-    if not isinstance(drop_vacuum, bool):
-        raise _fail(f"{path}.drop_vacuum", "expected true or false")
-    if drop_vacuum and needs_events:
-        raise _fail(f"{path}.drop_vacuum",
-                    "incompatible with the montecarlo engine")
     eps2 = _get_number(data, path, "eps2", default=1.0)
     if not 0.0 <= eps2 <= 1.0:
         raise _fail(f"{path}.eps2", "must lie in [0, 1]")
@@ -117,12 +110,11 @@ def _parse_source(data, path: str, needs_events: bool) -> SourceSeries:
             s2 = _get_number(data, path, "s2", required=True)
             if kind is SourceKind.ANTI_CORRELATED:
                 v2 = _get_number(data, path, "v2", required=True)
-                spec = SourceSpec.anti_correlated(s2=s2, v2=v2,
-                                                 drop_vacuum=drop_vacuum)
+                spec = SourceSpec.anti_correlated(s2=s2, v2=v2)
             else:
                 if "v2" in data:
                     raise _fail(f"{path}.v2", f"not a parameter of {kind_raw!r}")
-                spec = SourceSpec.correlated(s2=s2, drop_vacuum=drop_vacuum)
+                spec = SourceSpec.correlated(s2=s2)
         else:
             for key in ("s2", "v2"):
                 if key in data:
@@ -213,8 +205,7 @@ def parse_sweep_config(data) -> SweepConfig:
     raw_sources = data.get("sources")
     if not isinstance(raw_sources, list) or not raw_sources:
         raise _fail("config.sources", "expected a non-empty list")
-    needs_events = engine in ("montecarlo", "both")
-    sources = tuple(_parse_source(entry, f"config.sources[{i}]", needs_events)
+    sources = tuple(_parse_source(entry, f"config.sources[{i}]")
                     for i, entry in enumerate(raw_sources))
     names = [s.name for s in sources]
     if len(set(names)) != len(names):

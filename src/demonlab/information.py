@@ -23,7 +23,8 @@ from .sources import PAIR_KINDS, SourceSpec, make_source
 
 DEFAULT_INFO_CUTOFF = 12
 
-#: Largest truncation ``mutual_information`` picks for itself.
+#: Largest truncation ``mutual_information`` picks or accepts; run time grows
+#: about as the fourth power of the cutoff.
 MAX_EXACT_CUTOFF = 64
 
 ClickKey = tuple[bool, bool]
@@ -42,10 +43,14 @@ def mutual_information(spec: SourceSpec, r, eps2,
     """Mutual information between the click pattern and the kept photon numbers.
 
     Unless ``cutoff`` is given, the bath is truncated at the smallest cutoff
-    from ``DEFAULT_INFO_CUTOFF`` up that leaves out at most 1e-13 of it.
+    from ``DEFAULT_INFO_CUTOFF`` up that leaves out at most 1e-13 of it.  A
+    cutoff above ``MAX_EXACT_CUTOFF`` is refused.
     """
     r = as_amplitude(r)
     eps2 = as_efficiency(eps2)
+    if cutoff is not None and cutoff > MAX_EXACT_CUTOFF:
+        raise ValueError(f"cutoff: {cutoff} exceeds the largest exact truncation, "
+                         f"{MAX_EXACT_CUTOFF}")
     if spec.kind in PAIR_KINDS:
         spec = spec.with_drop_vacuum()
     source = make_source(spec, DEFAULT_INFO_CUTOFF if cutoff is None else cutoff)

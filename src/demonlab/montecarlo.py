@@ -7,16 +7,19 @@ of ``BLOCK`` slots draws its occupied count ``k ~ Binomial(size, 1 - p_vac)``
 and then ``k`` input pairs from the bath's law conditioned on not being
 vacuum.
 
-Every photon of an occupied arm meets one of three fates, the oracle's own
-model: lost (upstream loss, arm efficiency and balancing trim), tapped onto
-the arm's monitor detector, or kept for the switch.  With survival ``surv``
-the tapped count is ``Binomial(n, surv * r**2)`` and the kept count
-``Binomial(n - tapped, surv * (1 - r**2) / (1 - surv * r**2))``.  Monitor
-and output detectors click on any occupation, and the switch routes the
-kept photons by the monitor click pattern.
+The detectors only click, so an occupied arm is drawn straight into one of
+four cells, ``2 * (output click) + (monitor click)``.  Each of its ``n``
+photons is lost (upstream loss, arm efficiency and balancing trim), tapped
+onto the arm's monitor detector, or kept for the switch.  With survival
+``s``, the chance that none reaches the monitor, the output, or either is
+``(1 - u)**n`` at ``u = s * r**2``, ``s * (1 - r**2)`` and ``s``
+(``protocol._no_click_points``); ``protocol._CELLS`` turns these into the
+four cell chances, and one uniform per arm picks the cell.  The switch
+routes the output clicks by the monitor click pattern; bar and cross runs
+are the constant policies ``ALL_BAR`` and ``ALL_CROSS``.
 
 Draw order is part of correctness.  In every mode a block draws ``k``, then
-the occupations, then the fates of arm A, then those of arm B.  Same-seed
+the occupations, then the cell of arm A, then that of arm B.  Same-seed
 bar, cross, feed-forward and dead-window runs therefore see the same
 photons: they give identical ``n_a + n_b`` and ``coincidences``, and the
 switch only relabels the arms.
@@ -24,7 +27,7 @@ switch only relabels the arms.
 A response dead window freezes the switch for ``dead_window_slots`` slots
 after an effective monitor click, in the state that click chose.  Only
 dead-window runs need slot positions.  They draw the sorted positions of
-the occupied slots after the fates, walk only the clicks to find the
+the occupied slots after the cells, walk only the clicks to find the
 effective ones, and carry the last effective click into the next block, so
 a window that crosses a block boundary keeps its held state.
 
@@ -57,13 +60,14 @@ from enum import Enum
 import numpy as np
 
 from .fock import as_amplitude, as_efficiency
-from .protocol import ClickPattern, Policy, SwitchState, canonical_policy
+from .analytics import Normalization
+from .protocol import _CELLS, ALL_BAR, ALL_CROSS, Policy, _no_click_points, canonical_policy
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, _pair_weights
 
 BLOCK = 1 << 16
 
 #: Version of the random stream a seed yields; recorded in every result.
-STREAM_VERSION = 2
+STREAM_VERSION = 3
 
 MIN_G2_SLOTS = 100_000
 
@@ -181,12 +185,17 @@ def _occupied_sampler(spec: SourceSpec):
     return p_vac, draw
 
 
-def _fate_probabilities(survival: float, r2: float) -> tuple[float, float]:
-    """Per-photon tap probability, and keep probability given not tapped."""
-    tap = survival * r2
-    if tap >= 1.0:
-        return tap, 0.0
-    return tap, min(1.0, survival * (1.0 - r2) / (1.0 - tap))
+def _arm_clicks(rng: np.random.Generator, n: np.ndarray, survival: float, r2: float):
+    """Output and monitor clicks of arms holding ``n`` photons, from one uniform each.
+
+    The uniform is held against the chances of arm cell 0, of cells 0-1 and
+    of cells 0-2, the cell being ``2 * (output click) + (monitor click)``.
+    """
+    no_click = (1.0 - _no_click_points(survival, r2)) ** np.arange(n.max() + 1)[:, None]
+    none, no_output, not_both = np.cumsum(no_click @ _CELLS.T, axis=1)[n, :3].T
+    x = rng.random(n.size)
+    output = x >= no_output
+    return output, (x >= none) & ~output | (x >= not_both)
 
 
 def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
@@ -222,25 +231,15 @@ def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
     return states, len(click_slots) - len(effective), carry
 
 
-def _swap_lookup(policy: Policy) -> np.ndarray:
-    out = np.zeros((2, 2), dtype=bool)
-    for ca in (0, 1):
-        for cb in (0, 1):
-            state = policy.switch_for(ClickPattern(bool(ca), bool(cb)))
-            out[ca, cb] = state is SwitchState.CROSS
-    return out
-
-
 def run(config: RunConfig) -> RunResult:
     """Simulate one acquisition and return its tallies."""
     spec, mode = config.spec, config.mode
-    policy = config.policy or canonical_policy(spec.kind)
+    policy = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
+        mode, config.policy or canonical_policy(spec.kind))
     r2 = config.r * config.r
-    tap_a, keep_a = _fate_probabilities(
-        config.eps2 * config.arm_trim[0] * config.arm_efficiency[0], r2)
-    tap_b, keep_b = _fate_probabilities(
-        config.eps2 * config.arm_trim[1] * config.arm_efficiency[1], r2)
-    swap_table = _swap_lookup(policy)
+    survival_a, survival_b = (config.eps2 * trim * efficiency for trim, efficiency
+                              in zip(config.arm_trim, config.arm_efficiency))
+    swap_table = policy.crosses()
     p_vac, draw_occupied = _occupied_sampler(spec)
     window = config.dead_window_slots if mode is RunMode.FEED_FORWARD else 0
 
@@ -257,26 +256,17 @@ def run(config: RunConfig) -> RunResult:
         if k == 0:
             continue
         n_a, n_b = draw_occupied(rng, k)
-        dem_a = rng.binomial(n_a, tap_a)
-        kept_a = rng.binomial(n_a - dem_a, keep_a) > 0
-        dem_b = rng.binomial(n_b, tap_b)
-        kept_b = rng.binomial(n_b - dem_b, keep_b) > 0
-        click_a = dem_a > 0
-        click_b = dem_b > 0
+        kept_a, click_a = _arm_clicks(rng, n_a, survival_a, r2)
+        kept_b, click_b = _arm_clicks(rng, n_b, survival_b, r2)
 
-        if mode is RunMode.BAR:
-            out_a, out_b = kept_a, kept_b
-        elif mode is RunMode.CROSS:
-            out_a, out_b = kept_b, kept_a
-        else:
-            swap = swap_table[click_a.astype(np.intp), click_b.astype(np.intp)]
-            if window:
-                slots = base + np.sort(rng.choice(size, k, replace=False))
-                swap, lost, carry = _dead_window_states(
-                    slots, click_a | click_b, swap, window, carry)
-                suppressed += lost
-            out_a = np.where(swap, kept_b, kept_a)
-            out_b = np.where(swap, kept_a, kept_b)
+        swap = swap_table[click_a.astype(np.intp), click_b.astype(np.intp)]
+        if window:
+            slots = base + np.sort(rng.choice(size, k, replace=False))
+            swap, lost, carry = _dead_window_states(
+                slots, click_a | click_b, swap, window, carry)
+            suppressed += lost
+        out_a = np.where(swap, kept_b, kept_a)
+        out_b = np.where(swap, kept_a, kept_b)
 
         tally_a += int(np.count_nonzero(out_a))
         tally_b += int(np.count_nonzero(out_b))
@@ -310,9 +300,7 @@ class PowerMeasurement:
 
 
 def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
-                  normalization, arm_trim: tuple[float, float] = (1.0, 1.0),
-                  arm_efficiency: tuple[float, float] = (1.0, 1.0),
-                  ) -> PowerMeasurement:
+                  normalization) -> PowerMeasurement:
     """Feed-forward minus cross power, normalized by singles or pairs.
 
     The two acquisitions use independently derived seeds and their
@@ -322,13 +310,10 @@ def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
     so the delta method adds its share, ``value / sqrt(count)``; ``count``
     is the cross run's coincidences for pairs, its output clicks for singles.
     """
-    from .analytics import Normalization
-
     normalization = Normalization(normalization)
     if normalization is Normalization.PAIRS and spec.kind not in PAIR_KINDS:
         raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
-    common = dict(spec=spec, r=r, eps2=eps2, slots=slots, arm_trim=arm_trim,
-                  arm_efficiency=arm_efficiency)
+    common = dict(spec=spec, r=r, eps2=eps2, slots=slots)
     cross = run(RunConfig(mode=RunMode.CROSS, seed=_derived_seed(seed, 1), **common))
     ff = run(RunConfig(mode=RunMode.FEED_FORWARD, seed=_derived_seed(seed, 2), **common))
     delta = ff.delta_n - cross.delta_n

@@ -81,6 +81,11 @@ class Policy:
     def switch_for(self, clicks: ClickPattern) -> SwitchState:
         return self.table[clicks]
 
+    def crosses(self) -> np.ndarray:
+        """``[dem_a click, dem_b click]`` -> whether the switch crosses."""
+        return np.array([[self.table[ClickPattern(a, b)] is SwitchState.CROSS
+                          for b in (False, True)] for a in (False, True)])
+
     def transposed(self) -> "Policy":
         """Mirror policy: the (click at A only) and (click at B only) rows trade places."""
         return Policy({p: self.table[p.swapped()] for p in ALL_PATTERNS})
@@ -177,9 +182,16 @@ def propagate(source_state: JointOccupationDistribution, r, eps2,
 
 
 #: Arm cell ``2 * (output click) + (monitor click)`` from ``E[(1-u)**n]``, the
-#: chance that no photon reaches the detectors in question, at ``u = [0,
-#: eps2 * r2, eps2 * (1 - r2), eps2]``: none, monitor, output, both.
+#: chance that no photon reaches the detectors in question, at the four
+#: ``_no_click_points``: none, monitor, output, both.
 _CELLS = np.array([[0, 0, 0, 1], [0, 0, 1, -1], [0, 1, 0, -1], [1, -1, -1, 1]])
+
+
+def _no_click_points(survival: float, r2: float) -> np.ndarray:
+    """Per-photon chances of reaching no detector, the monitor, the output, either:
+    ``(1 - u)**n`` is the chance that none of ``n`` photons does."""
+    return np.array([0.0, survival * r2, survival * (1.0 - r2), survival])
+
 
 #: Index grids of a click table ``[out_a, mon_a, out_b, mon_b]``.
 _OUT_A, _MON_A, _OUT_B, _MON_B = np.indices((2, 2, 2, 2))
@@ -193,8 +205,7 @@ def _click_table(spec: SourceSpec, r, eps2) -> np.ndarray:
     """
     r = as_amplitude(r)
     eps2 = as_efficiency(eps2)
-    r2 = r * r
-    u = np.array([0.0, eps2 * r2, eps2 * (1.0 - r2), eps2])
+    u = _no_click_points(eps2, r * r)
     # G - 1 rather than G keeps the digits that cancel between the cells
     g_minus_one = generating_function_minus_one(spec, u[:, None], u[None, :])
     table = _CELLS @ g_minus_one @ _CELLS.T
@@ -216,9 +227,7 @@ def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
     r = as_amplitude(r)
     r2 = r * r
     joint = _click_table(spec, r, eps2)
-    policy = canonical_policy(spec.kind)
-    bar = np.array([[policy.switch_for(ClickPattern(a, b)) is SwitchState.BAR
-                     for b in (False, True)] for a in (False, True)])[_MON_A, _MON_B]
+    bar = ~canonical_policy(spec.kind).crosses()[_MON_A, _MON_B]
     # a swapped slot reads as in the cross run; a bar slot reads
     # out_a - out_b against the cross run's out_b - out_a
     imbalance = np.sum(joint * bar * 2.0 * (_OUT_A - _OUT_B))

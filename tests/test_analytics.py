@@ -118,16 +118,14 @@ def test_closed_form_argument_errors():
 
 
 def _pipeline_singles(spec, r2, eps2):
-    """Normalized imbalance rebuilt from the propagated joint table."""
+    """Normalized imbalance rebuilt from the propagated joint table, and the
+    most the bath's truncated tail can move it."""
     source = make_source(spec, cutoff=4)
     outcome = propagate(source, math.sqrt(r2), eps2, canonical_policy(spec.kind))
     p_a, p_b = detector_probs(outcome)
-    if spec.kind in (SourceKind.UNCORRELATED, SourceKind.SPLIT_THERMAL):
-        norm = spec.nbar / (1.0 + spec.nbar)
-    else:
-        # the switch only relabels the arms, so the clicks give the singles flux
-        norm = (p_a + p_b) / 2.0 / (1.0 - r2)
-    return (p_a - p_b) / norm
+    # the switch only relabels the arms, so the clicks give the singles flux
+    flux = (p_a + p_b) / 2.0 / (1.0 - r2)
+    return (p_a - p_b) / flux, 2.0 * source.lost_mass / flux
 
 
 def test_pipeline_matches_closed_form_for_pair_kinds():
@@ -139,19 +137,20 @@ def test_pipeline_matches_closed_form_for_pair_kinds():
         for r2 in R2_GRID:
             want = closed_form_power(spec.kind, Normalization.SINGLES,
                                      math.sqrt(r2), **kwargs)
-            got = _pipeline_singles(spec, r2, 0.14)
+            got, _ = _pipeline_singles(spec, r2, 0.14)
             assert abs(got - want) < 1e-10, (spec.kind, r2)
 
 
-def test_pipeline_matches_closed_form_for_thermal_kinds():
-    nbar = 0.05
+def test_pipeline_matches_exact_power_for_thermal_kinds():
+    """The closed form is first order in nbar, so the thermal pipeline is held
+    to the all-orders reference; ``test_thermal_law_is_taken_at_the_surviving_mean``
+    holds the closed form to it."""
+    spec = SourceSpec.uncorrelated(0.05)
     for r2 in R2_GRID:
-        want = closed_form_power(SourceKind.UNCORRELATED, Normalization.SINGLES,
-                                 math.sqrt(r2), nbar=nbar)
-        got = _pipeline_singles(SourceSpec.uncorrelated(nbar), r2, 1.0)
-        # the closed form is first order in nbar; allow the quadratic residue
-        assert abs(got - want) <= 5.0 * nbar * nbar, r2
-        split = _pipeline_singles(SourceSpec.split_thermal(nbar), r2, 1.0)
+        want = expected_power(spec, math.sqrt(r2), 1.0, Normalization.SINGLES)
+        got, truncation = _pipeline_singles(spec, r2, 1.0)
+        assert abs(got - want) <= truncation, r2
+        split, _ = _pipeline_singles(SourceSpec.split_thermal(0.05), r2, 1.0)
         assert abs(split) < 1e-12
 
 

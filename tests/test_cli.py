@@ -115,6 +115,8 @@ _ARGUMENT_ERRORS = [
     (["info", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
     # a bath too bright for the largest truncation info picks for itself
     (["info", "--kind", "split-thermal", "--nbar", "2"], "cutoff"),
+    # an explicit truncation beyond it would run for hours
+    (["info", "--kind", "uncorrelated", "--nbar", "0.05", "--cutoff", "65"], "cutoff"),
     (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
     # a memory kernel longer than the stream is refused before it is built
     (["g2", "--nbar", "0.5", "--model", "gaussian-memory", "--tau-c", "1e9",

@@ -2,7 +2,7 @@
 
 The dead-window walk is checked against a plain per-slot loop, the run
 tallies against the exact rates of ``protocol.propagate``, and the reported
-power error bars against the scatter of many seeds.
+power and imbalance error bars against the scatter of many seeds.
 """
 
 import math
@@ -162,8 +162,25 @@ def test_power_error_bars_have_unit_spread(spec, normalization):
     assert 0.9 <= rms <= 1.1, rms
 
 
+@pytest.mark.parametrize("window", [0, 3, 30])
+def test_imbalance_error_bars_match_the_scatter_of_seeds(window):
+    """Scatter of ``delta_n`` over 400 seeds against the mean reported stderr.
+
+    The ratio is 1 up to its sampling error, 1/sqrt(2 * 400); the band is 4 of those.
+    """
+    spec = _bright("uncorrelated")
+    deltas, errs = [], []
+    for seed in range(400):
+        res = run(RunConfig(spec=spec, r=math.sqrt(0.3), eps2=0.8, slots=20_000,
+                            seed=seed, dead_window_slots=window))
+        deltas.append(res.delta_n)
+        errs.append(res.stderr_delta_n)
+    ratio = float(np.std(deltas, ddof=1) / np.mean(errs))
+    assert 0.86 <= ratio <= 1.14, ratio
+
+
 def test_results_record_the_stream_version():
     res = run(RunConfig(spec=SourceSpec.correlated(s2=0.01), r=0.5, eps2=1.0,
                         slots=1000, seed=1))
-    assert STREAM_VERSION == 2
+    assert STREAM_VERSION == 3
     assert res.to_json_dict()["stream_version"] == STREAM_VERSION

@@ -82,6 +82,9 @@ def test_parse_errors_carry_field_paths():
                             "v2": 0.9}]), "v2"),
         (_minimal(sources=[{"name": "u", "kind": "uncorrelated", "nbar": 0.05,
                             "flavor": "x"}]), "flavor"),
+        # post-selection is an analytics device of the pair specs, not a config field
+        (_minimal(sources=[{"name": "c", "kind": "correlated", "s2": 0.01,
+                            "drop_vacuum": True}]), "drop_vacuum"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError) as err:
@@ -101,18 +104,6 @@ def test_duplicate_series_names_rejected():
     ])
     with pytest.raises(ConfigError):
         parse_sweep_config(data)
-
-
-def test_drop_vacuum_only_for_analytic_engine():
-    data = _minimal(
-        engine="montecarlo", slots=1000,
-        sources=[{"name": "c", "kind": "correlated", "s2": 0.01,
-                  "drop_vacuum": True}],
-    )
-    with pytest.raises(ConfigError):
-        parse_sweep_config(data)
-    data["engine"] = "analytic"
-    assert parse_sweep_config(data).sources[0].spec.drop_vacuum
 
 
 def test_pairs_normalization_restricted_to_pair_kinds():

@@ -82,9 +82,11 @@ def test_switch_mode_conserves_totals_slot_by_slot():
     """Same seed means same photon draws; the switch only relabels arms."""
     for spec in (CORR, UNCORR, SPLIT):
         totals = set()
-        for mode in (RunMode.BAR, RunMode.CROSS, RunMode.FEED_FORWARD):
-            res = run(_cfg(spec=spec, slots=25_000, seed=77, mode=mode))
-            totals.add(res.n_a + res.n_b)
+        for mode, window in ((RunMode.BAR, 0), (RunMode.CROSS, 0),
+                             (RunMode.FEED_FORWARD, 0), (RunMode.FEED_FORWARD, 5)):
+            res = run(_cfg(spec=spec, slots=25_000, seed=77, mode=mode,
+                           dead_window_slots=window))
+            totals.add((res.n_a + res.n_b, res.coincidences))
         assert len(totals) == 1, spec.kind
 
 
