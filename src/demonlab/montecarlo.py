@@ -117,6 +117,10 @@ class RunConfig:
             object.__setattr__(self, name, pair)
         if self.dead_window_slots < 0:
             raise ValueError("dead_window_slots must be >= 0")
+        if self.mode is not RunMode.FEED_FORWARD and (
+                self.policy is not None or self.dead_window_slots):
+            raise ValueError(f"policy and dead_window_slots apply to feed-forward "
+                             f"runs, not to {self.mode.value}")
 
 
 @dataclass(frozen=True)
@@ -215,20 +219,23 @@ def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
     clicks, and the carry for the next block.
     """
     last, held = carry
-    click_slots = slots[clicked]
+    clicks = np.flatnonzero(clicked)
     effective = []
     free_from = last + 1 + window
-    for j, slot in enumerate(click_slots.tolist()):
+    for j, slot in zip(clicks.tolist(), slots[clicks].tolist()):
         if slot >= free_from:
             effective.append(j)
             free_from = slot + 1 + window
-    eff_slots = np.concatenate(([last], click_slots[effective]))
-    eff_states = np.concatenate(([held], own[clicked][effective]))
-    latest = np.searchsorted(eff_slots, slots, side="right") - 1
+    effective = np.array(effective, dtype=np.intp)
+    eff_slots = np.concatenate(([last], slots[effective]))
+    eff_states = np.concatenate(([held], own[effective]))
+    is_effective = np.zeros(slots.size, dtype=np.intp)
+    is_effective[effective] = 1
+    latest = np.cumsum(is_effective)  # index 0 is the carried click
     frozen = slots <= eff_slots[latest] + window
     states = np.where(frozen, eff_states[latest], own)
     carry = (int(eff_slots[-1]), bool(eff_states[-1]))
-    return states, len(click_slots) - len(effective), carry
+    return states, clicks.size - effective.size, carry
 
 
 def run(config: RunConfig) -> RunResult:
@@ -241,7 +248,7 @@ def run(config: RunConfig) -> RunResult:
                               in zip(config.arm_trim, config.arm_efficiency))
     swap_table = policy.crosses()
     p_vac, draw_occupied = _occupied_sampler(spec)
-    window = config.dead_window_slots if mode is RunMode.FEED_FORWARD else 0
+    window = config.dead_window_slots
 
     n_blocks = (config.slots + BLOCK - 1) // BLOCK
 
@@ -341,8 +348,7 @@ def calibrate_balance(config: RunConfig, max_iters: int = 40
         cfg = RunConfig(spec=config.spec, r=config.r, eps2=config.eps2,
                         slots=config.slots, seed=_derived_seed(config.seed, 100, i),
                         mode=RunMode.BAR, arm_trim=(trim_a, trim_b),
-                        arm_efficiency=config.arm_efficiency,
-                        dead_window_slots=config.dead_window_slots)
+                        arm_efficiency=config.arm_efficiency)
         return run(cfg)
 
     first = bar_run(1.0, 1.0, 0)
@@ -369,19 +375,23 @@ def calibrate_balance(config: RunConfig, max_iters: int = 40
     raise RuntimeError(f"balance calibration did not converge in {max_iters} iterations")
 
 
-def _thermal_stream(rng: np.random.Generator, nbar: float, slots: int) -> np.ndarray:
-    return rng.geometric(1.0 / (1.0 + nbar), slots) - 1
+def _thermal_blocks(rng: np.random.Generator, nbar: float, slots: int):
+    """Thermal counts of ``slots`` independent slots, ``BLOCK`` at a time."""
+    for base in range(0, slots, BLOCK):
+        yield rng.geometric(1.0 / (1.0 + nbar), min(BLOCK, slots - base)) - 1
 
 
-def _gaussian_memory_stream(rng: np.random.Generator, nbar: float, slots: int,
-                            tau_c: float) -> np.ndarray:
+def _gaussian_memory_blocks(rng: np.random.Generator, nbar: float, slots: int,
+                            tau_c: float):
     """Thermal counts whose intensity memory follows a Gaussian of width tau_c.
 
     A complex Gaussian field is built by smoothing white noise with a
     Gaussian kernel sized so the intensity correlation comes out as
     ``g2(tau) = 1 + exp(-pi * (tau / tau_c)**2)``; per-slot counts are
     Poisson in the instantaneous intensity, which keeps every marginal
-    exactly thermal.
+    exactly thermal.  The noise is drawn ``BLOCK`` slots at a time, and the
+    last ``2 * half`` samples of each block are carried as the halo of the
+    next, so the smoothed field runs on across block boundaries.
     """
     a = tau_c / math.sqrt(2.0 * math.pi)
     half = max(1, int(math.ceil(6.0 * a)))
@@ -389,16 +399,32 @@ def _gaussian_memory_stream(rng: np.random.Generator, nbar: float, slots: int,
         raise ValueError(f"tau_c = {tau_c:g} needs a {2 * half + 1}-tap memory "
                          f"kernel, longer than the {slots} slots")
     kernel = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * a * a))
-    pad = kernel.size
-    total = slots + 2 * pad
-    field = (rng.standard_normal(total) + 1j * rng.standard_normal(total)) / math.sqrt(2.0)
-    smooth = np.convolve(field, kernel, mode="same")[pad:-pad]
-    del field
-    intensity = np.abs(smooth)
-    del smooth
-    intensity **= 2
-    intensity *= nbar / float(np.sum(kernel ** 2))
-    return rng.poisson(intensity)
+    # the field is (re + i im) / sqrt(2), so its intensity is (re**2 + im**2) / 2
+    scale = nbar / (2.0 * float(np.sum(kernel ** 2)))
+    noise = rng.standard_normal((2, 2 * half))
+    for base in range(0, slots, BLOCK):
+        noise = np.concatenate((noise[:, -2 * half:],
+                                rng.standard_normal((2, min(BLOCK, slots - base)))), axis=1)
+        re, im = (np.convolve(row, kernel, mode="valid") for row in noise)
+        yield rng.poisson((re * re + im * im) * scale)
+
+
+def _lag_sums(carry: np.ndarray, half_1: np.ndarray, half_2: np.ndarray, taus):
+    """Lagged products of one block, and the carry for the next.
+
+    ``carry`` holds the ``half_1`` counts of the slots just before the
+    block, at most ``max(taus)`` of them.  Returns, for each ``tau``, the
+    exact integer sum of ``half_1[i] * half_2[i + tau]`` over the pairs
+    whose later slot ``i + tau`` lies in this block, and the new carry.
+    """
+    ext = np.concatenate((carry, half_1))
+    lead = carry.size
+    sums = []
+    for tau in taus:
+        first = max(tau - lead, 0)  # the block's first slot with a partner
+        sums.append(int(np.dot(ext[lead + first - tau:ext.size - tau], half_2[first:]))
+                    if first < half_2.size else 0)
+    return sums, ext[max(ext.size - max(taus, default=0), 0):]
 
 
 def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
@@ -411,6 +437,13 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     delay point honest for click-style counting: an uncorrelated slot model
     gives 2 at zero delay and 1 elsewhere, the ``gaussian-memory`` model
     relaxes from 2 to 1 on the scale ``tau_c``.
+
+    The stream is drawn and reduced ``BLOCK`` slots at a time from one
+    generator seeded by ``seed``: each block draws its counts (for
+    ``gaussian-memory`` the white noise of its slots, then the Poisson
+    counts), then the splitter's binomial on its occupied slots, and adds
+    its lagged products to integer sums.  Memory is O(BLOCK + max(tau)),
+    whatever ``slots`` is.
     """
     if spec.kind in PAIR_KINDS:
         raise ValueError("g2 characterization applies to the thermal sources")
@@ -421,40 +454,66 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
         raise ValueError("delays must satisfy 0 <= tau < slots")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if model == "iid":
-        stream = _thermal_stream(rng, spec.nbar, slots)
+        blocks = _thermal_blocks(rng, spec.nbar, slots)
     elif model == "gaussian-memory":
         if tau_c is None or not 0 < tau_c < math.inf:
             raise ValueError("gaussian-memory model requires a finite tau_c > 0")
-        stream = _gaussian_memory_stream(rng, spec.nbar, slots, float(tau_c))
+        blocks = _gaussian_memory_blocks(rng, spec.nbar, slots, float(tau_c))
     else:
         raise ValueError(f"unknown model {model!r}")
 
-    half_1 = rng.binomial(stream, 0.5)
-    half_2 = stream - half_1
-    mean_1 = float(half_1.mean())
-    mean_2 = float(half_2.mean())
-    if mean_1 <= 0 or mean_2 <= 0:
+    total_1 = total_2 = 0
+    sums = [0] * len(taus)
+    carry = np.zeros(0, dtype=np.int64)
+    for counts in blocks:
+        half_1 = np.zeros_like(counts)
+        occupied = np.flatnonzero(counts)
+        # Binomial(0, 1/2) is 0, so drawing only the occupied slots is exact
+        half_1[occupied] = rng.binomial(counts[occupied], 0.5)
+        half_2 = counts - half_1
+        total_1 += int(half_1.sum())
+        total_2 += int(half_2.sum())
+        block_sums, carry = _lag_sums(carry, half_1, half_2, taus)
+        sums = [s + b for s, b in zip(sums, block_sums)]
+    if total_1 == 0 or total_2 == 0:
         raise ValueError("stream is empty; raise nbar or slots")
-    out = []
-    for tau in taus:
-        a, b = (half_1, half_2) if tau == 0 else (half_1[:-tau], half_2[tau:])
-        # an exact integer dot product, with no slot-sized temporary
-        num = int(np.dot(a, b)) / a.size
-        out.append((tau, num / (mean_1 * mean_2)))
-    return out
+    mean_1, mean_2 = total_1 / slots, total_2 / slots
+    return [(tau, s / (slots - tau) / (mean_1 * mean_2)) for tau, s in zip(taus, sums)]
 
 
 def fit_gaussian_memory_tau_c(samples) -> float:
-    """Fit ``g2(tau) = 1 + exp(-pi * (tau / tau_c)**2)`` and return tau_c."""
-    from scipy.optimize import curve_fit
+    """Fit ``g2(tau) = 1 + exp(-pi * (tau / tau_c)**2)`` and return tau_c.
 
+    Least squares by Gauss-Newton in ``x = tau_c**-2``, starting from tau_c
+    at the largest delay whose sample exceeds 1.5 (at least 1).  A step that
+    does not lower the cost is halved; the fit stops when no step does, or
+    when the step is below 1e-13 of ``x``.
+    """
     taus = np.array([t for t, _ in samples], dtype=float)
     values = np.array([g for _, g in samples], dtype=float)
+    if not taus.size or not (np.isfinite(taus).all() and np.isfinite(values).all()):
+        raise ValueError("the tau_c fit needs at least one finite (tau, g2) sample")
+    scaled = math.pi * taus ** 2
 
-    def model(tau, tau_c):
-        return 1.0 + np.exp(-math.pi * (tau / tau_c) ** 2)
+    def residuals(x):
+        return values - 1.0 - np.exp(-x * scaled)
 
     above = taus[values > 1.5]
-    guess = max(float(above.max()) if above.size else 1.0, 1.0)
-    popt, _ = curve_fit(model, taus, values, p0=[guess])
-    return float(abs(popt[0]))
+    x = max(float(above.max()) if above.size else 1.0, 1.0) ** -2
+    resid = residuals(x)
+    for _ in range(100):
+        slope = -scaled * np.exp(-x * scaled)  # d model / dx
+        curvature = float(slope @ slope)
+        if curvature == 0.0:
+            break
+        step = float(slope @ resid) / curvature
+        for _ in range(60):
+            if x + step > 0.0 and (trial := residuals(x + step)) @ trial < resid @ resid:
+                break
+            step /= 2.0
+        else:
+            break
+        x, resid = x + step, trial
+        if abs(step) <= 1e-13 * x:
+            break
+    return x ** -0.5

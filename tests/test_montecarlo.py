@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from demonlab.montecarlo import (
     RunMode,
     RunResult,
     calibrate_balance,
+    _lag_sums,
     estimate_g2,
     fit_gaussian_memory_tau_c,
     measure_power,
@@ -51,6 +53,11 @@ def test_config_validation():
         _cfg(arm_efficiency=(0.5, -0.1))
     with pytest.raises(ValueError):
         _cfg(dead_window_slots=-1)
+    # bar and cross runs have no switch to freeze or to program
+    with pytest.raises(ValueError, match="feed-forward"):
+        _cfg(mode="bar", dead_window_slots=5)
+    with pytest.raises(ValueError, match="feed-forward"):
+        _cfg(mode="cross", policy=TABLE_PAIR)
     assert _cfg(mode="bar").mode is RunMode.BAR
 
 
@@ -236,6 +243,59 @@ def test_g2_gaussian_memory_decays_on_the_set_scale():
     assert values[0] > values[4] > values[18]
     fitted = fit_gaussian_memory_tau_c(samples)
     assert abs(fitted - 6.0) / 6.0 < 0.15
+
+
+def test_lag_sums_over_blocks_match_the_whole_stream():
+    """Block-wise lagged products equal one dot product over the joined stream."""
+    rng = np.random.default_rng(71)
+    sizes = (50, 50, 13, 50, 1, 50, 37)
+    taus = (0, 1, 49, 50, 51, 120)  # within a block, at its edge, beyond it
+    half_1 = [rng.integers(0, 4, n) for n in sizes]
+    half_2 = [rng.integers(0, 4, n) for n in sizes]
+    sums = [0] * len(taus)
+    carry = np.zeros(0, dtype=np.int64)
+    for a, b in zip(half_1, half_2):
+        block_sums, carry = _lag_sums(carry, a, b, taus)
+        sums = [s + d for s, d in zip(sums, block_sums)]
+        assert carry.size <= max(taus)
+    a, b = np.concatenate(half_1), np.concatenate(half_2)
+    assert sums == [int(np.dot(a[:a.size - tau], b[tau:])) for tau in taus]
+
+
+@pytest.mark.parametrize("model, tau_c", [("iid", None), ("gaussian-memory", 8.0)])
+def test_g2_memory_does_not_grow_with_the_stream(model, tau_c):
+    spec = _quiet_nbar(0.5)
+    tracemalloc.start()
+    try:
+        estimate_g2(spec, 2_000_000, seed=5, tau_grid=(0, 1, 2, 5, 10, 20, 30),
+                    model=model, tau_c=tau_c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak  # the whole stream alone is 16 MB
+
+
+def test_tau_c_fit_matches_curve_fit():
+    curve_fit = pytest.importorskip("scipy.optimize").curve_fit
+    spec = _quiet_nbar(0.5)
+    for seed, tau_c in ((61, 4.0), (62, 8.0), (63, 12.0)):
+        samples = estimate_g2(spec, MIN_G2_SLOTS, seed, (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
+                              model="gaussian-memory", tau_c=tau_c)
+        taus, values = np.array(samples).T
+        guess = max(taus[values > 1.5].max(initial=1.0), 1.0)
+        popt, _ = curve_fit(lambda t, c: 1.0 + np.exp(-math.pi * (t / c) ** 2),
+                            taus, values, p0=[guess])
+        assert fit_gaussian_memory_tau_c(samples) == pytest.approx(abs(popt[0]), rel=1e-6)
+
+
+@pytest.mark.parametrize("samples", [
+    [(0, 2.0), (4, math.nan), (8, 1.1)],
+    [(0, 2.0), (math.inf, 1.0)],
+    [],
+])
+def test_tau_c_fit_refuses_bad_samples(samples):
+    with pytest.raises(ValueError):
+        fit_gaussian_memory_tau_c(samples)
 
 
 def test_measure_power_value_combines_modes():

@@ -1,5 +1,5 @@
 """Pinned SHA-256 digests of the preset reports, of ``info`` on the weak baths,
-and of the event engine's random stream.
+of ``g2`` on both stream models, and of the event engine's random stream.
 
 A change meant to keep every output byte must leave these digests alone; a
 change that moves an output on purpose updates the digest and says why.  A
@@ -43,6 +43,14 @@ INFO_DIGESTS = {
         "1e5db604dca8c87e0d65a830e14cf5f2310931f2bc60f16b1ac2acb6c447f24d",
 }
 
+# default slots (1e6) and delays (0, 1, 2, 5, 10, 20)
+G2_DIGESTS = {
+    ("--nbar", "0.5", "--seed", "1"):
+        "15c065e5b344725be124644918f5cb1b1620fcaee3f57c6520e5d8a3fa2dc585",
+    ("--nbar", "0.5", "--seed", "1", "--model", "gaussian-memory", "--tau-c", "8", "--fit"):
+        "a26fe10f2f0fd09c05f45e799b127f43ae5dc054261c9fcd1bd96e167eede737",
+}
+
 
 def _stdout_digest(argv, capsys) -> str:
     assert main(list(argv)) == 0, argv
@@ -58,6 +66,11 @@ def test_preset_report_bytes_are_pinned(preset, fmt, capsys):
 @pytest.mark.parametrize("flags", sorted(INFO_DIGESTS))
 def test_info_bytes_are_pinned(flags, capsys):
     assert _stdout_digest(["info", *flags], capsys) == INFO_DIGESTS[flags]
+
+
+@pytest.mark.parametrize("flags", sorted(G2_DIGESTS))
+def test_g2_bytes_are_pinned(flags, capsys):
+    assert _stdout_digest(["g2", *flags], capsys) == G2_DIGESTS[flags]
 
 
 def test_stream_is_pinned_per_version():
