@@ -16,10 +16,8 @@ import json
 import math
 import os
 import sys
-import warnings
 
 from .analytics import Normalization
-from .fock import LowPhotonRegimeWarning
 from .harness import (ConfigError, PRESETS, _parse_source, emit_report,
                       load_config, preset_config, run_checks, run_sweep)
 from .information import mutual_information
@@ -191,11 +189,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_g2(args) -> int:
-    with warnings.catch_warnings():
-        # bunching is measured best on a bright stream; the low-photon
-        # warning guards the closed forms, which play no role here
-        warnings.simplefilter("ignore", LowPhotonRegimeWarning)
-        spec = SourceSpec.uncorrelated(args.nbar)
+    spec = SourceSpec.uncorrelated(args.nbar)
     seed = _resolve_seed(args.seed)
     try:
         taus = [int(t) for t in args.taus.split(",") if t.strip()]

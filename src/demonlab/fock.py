@@ -16,7 +16,6 @@ itself uses the per-arm kernel ``protocol.arm_kernel``.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -28,12 +27,10 @@ DEFAULT_CUTOFF = 4
 #: Allowed slack on total probability mass (entries + lost_mass).
 MASS_TOL = 1e-12
 
-#: Above this mean photon number the two-photon power formulas degrade.
-LOW_PHOTON_LIMIT = 0.2
-
 
 class LowPhotonRegimeWarning(UserWarning):
-    """Mean photon number left the regime the closed-form power laws assume."""
+    """Nothing issues it any more: every closed form is exact at any
+    brightness.  It stays importable for warning filters that name it."""
 
 
 def _check_unit_interval(name: str, value: float) -> float:
@@ -44,17 +41,10 @@ def _check_unit_interval(name: str, value: float) -> float:
 
 
 def as_nbar(value) -> float:
-    """Validate a mean photon number.  Warns outside the low-photon regime."""
+    """Validate a mean photon number."""
     nbar = float(value)
     if nbar < 0 or not math.isfinite(nbar):
         raise ValueError(f"mean photon number must be finite and >= 0, got {nbar!r}")
-    if nbar > LOW_PHOTON_LIMIT:
-        warnings.warn(
-            f"mean photon number {nbar:g} exceeds {LOW_PHOTON_LIMIT:g}; "
-            "closed-form power laws are first-order in nbar and degrade here",
-            LowPhotonRegimeWarning,
-            stacklevel=2,
-        )
     return nbar
 
 

@@ -321,8 +321,9 @@ def _cell_seed(seed: int, source_index: int, grid_index: int) -> int:
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Produce one report row per source per grid point.
 
-    When both engines run, a Monte Carlo point far from the exact
-    expectation ``expected_power`` issues a ``UserWarning``.  The threshold is
+    The ``analytic`` cell is the exact expectation of the Monte Carlo
+    estimator, so when both engines run, a Monte Carlo point far from the
+    ``analytic`` cell of its row issues a ``UserWarning``.  The threshold is
     the Sidak one that gives the ``N`` compared points together the two-sided
     3-sigma false-alarm rate: 3.00 standard errors at N = 1, 4.25 at 124.
     """
@@ -334,9 +335,8 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
         spec = series.spec
         for gi, r2 in enumerate(config.grid):
             r = math.sqrt(r2)
-            analytic = closed_form_power(
-                spec.kind, series.normalization, r, nbar=spec.nbar,
-                eps2=series.eps2, v2=spec.v2) if want_analytic else None
+            analytic = (closed_form_power(spec, r, series.eps2, series.normalization)
+                        if want_analytic else None)
             mc = mc_stderr = None
             pair_norm_defined = 0.0 < r2 < 1.0
             if want_mc and (series.normalization is Normalization.SINGLES
@@ -347,9 +347,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
                                          series.normalization)
                 mc, mc_stderr = measured.value, measured.stderr
             if analytic is not None and mc is not None:
-                exact = expected_power(spec, r, series.eps2,
-                                       series.normalization)
-                compared.append((series.name, r2, mc, exact, mc_stderr))
+                compared.append((series.name, r2, mc, analytic, mc_stderr))
             info = None
             if config.include_info:
                 info = mutual_information(spec, r, series.eps2).mutual_info_bits
@@ -487,18 +485,20 @@ def _power_check(spec: SourceSpec, normalization: Normalization, seed: int):
 
 def _check_closed_forms():
     r, pairs, singles = math.sqrt(0.5), Normalization.PAIRS, Normalization.SINGLES
-    corr = closed_form_power(SourceKind.CORRELATED, pairs, r)
-    anti, null = (closed_form_power(SourceKind.ANTI_CORRELATED, pairs, r, v2=v2)
+    corr = closed_form_power(SourceSpec.correlated(s2=0.01), r, 1.0, pairs)
+    anti, null = (closed_form_power(SourceSpec.anti_correlated(s2=0.01, v2=v2), r, 1.0, pairs)
                   for v2 in (0.87, 0.5))
-    thermal = closed_form_power(SourceKind.UNCORRELATED, singles, r, nbar=0.05)
-    split = max(abs(closed_form_power(SourceKind.SPLIT_THERMAL, singles,
-                                      math.sqrt(k * 0.025), nbar=0.05)) for k in range(21))
+    thermal = closed_form_power(SourceSpec.uncorrelated(0.05), r, 1.0, singles)
+    split = max(abs(closed_form_power(SourceSpec.split_thermal(0.05), math.sqrt(k * 0.025),
+                                      1.0, singles)) for k in range(21))
     ratio = peak_enhancement_ratio(0.05)
     ok = (corr == 0.5 and abs(anti / corr - 0.74) <= 1e-15 and null == 0.0
-          and abs(thermal - 0.0277) <= 1e-4 and split <= 1e-12 and ratio >= 10.0)
+          and abs(thermal - 0.0232288037166) <= 1e-12 and split <= 1e-12
+          and abs(ratio - 21.525) <= 1e-12 and ratio >= 10.0)
     return ok, (f"corr pairs {corr} (0.5), anti/corr {anti / corr:.15f} (0.74), "
-                f"v2=0.5 law {null} (0), thermal peak {thermal:.6f} (0.0277+-1e-4), "
-                f"split worst {split:.1e} (<=1e-12), peak ratio {ratio:.2f} (>=10)")
+                f"v2=0.5 law {null} (0), thermal peak {thermal:.13f} "
+                f"(0.0232288037166+-1e-12), split worst {split:.1e} (<=1e-12), "
+                f"peak ratio {ratio:.3f} (21.525+-1e-12, >=10)")
 
 
 def _check_oracle_match():
@@ -554,13 +554,9 @@ def _check_info():
 
 
 def _check_g2():
-    from .fock import LowPhotonRegimeWarning
     from .montecarlo import estimate_g2, fit_gaussian_memory_tau_c
 
-    with warnings.catch_warnings():
-        # nbar = 0.5 is deliberate here: bunching is easiest to resolve bright
-        warnings.simplefilter("ignore", LowPhotonRegimeWarning)
-        spec = SourceSpec.uncorrelated(0.5)
+    spec = SourceSpec.uncorrelated(0.5)  # bunching is easiest to resolve bright
     iid = dict(estimate_g2(spec, 1_000_000, 108, (0, 5, 20)))
     ok = all(abs(iid[tau] - want) <= 0.05 for tau, want in ((0, 2.0), (5, 1.0), (20, 1.0)))
     samples = estimate_g2(spec, 1_000_000, 109, (0, 2, 4, 6, 8, 12, 16, 24, 32),

@@ -454,6 +454,8 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
         raise ValueError("delays must satisfy 0 <= tau < slots")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if model == "iid":
+        if tau_c is not None:
+            raise ValueError("tau_c applies to the gaussian-memory model only")
         blocks = _thermal_blocks(rng, spec.nbar, slots)
     elif model == "gaussian-memory":
         if tau_c is None or not 0 < tau_c < math.inf:
@@ -487,7 +489,9 @@ def fit_gaussian_memory_tau_c(samples) -> float:
     Least squares by Gauss-Newton in ``x = tau_c**-2``, starting from tau_c
     at the largest delay whose sample exceeds 1.5 (at least 1).  A step that
     does not lower the cost is halved; the fit stops when no step does, or
-    when the step is below 1e-13 of ``x``.
+    when the step is below 1e-13 of ``x``.  Refuses a fit that fewer than two
+    positive delays constrain: on the slope, ``exp(-pi * (tau / tau_c)**2)``
+    lies in [0.01, 0.99] at the returned tau_c.
     """
     taus = np.array([t for t, _ in samples], dtype=float)
     values = np.array([g for _, g in samples], dtype=float)
@@ -516,4 +520,9 @@ def fit_gaussian_memory_tau_c(samples) -> float:
         x, resid = x + step, trial
         if abs(step) <= 1e-13 * x:
             break
+    memory = np.exp(-x * scaled[taus > 0])
+    if np.count_nonzero((memory >= 0.01) & (memory <= 0.99)) < 2:
+        raise ValueError(f"taus: fewer than two positive delays lie on the slope "
+                         f"(g2 - 1 in [0.01, 0.99]) of the fitted tau_c "
+                         f"{x ** -0.5:.4g}; add delays near it")
     return x ** -0.5

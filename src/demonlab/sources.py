@@ -29,6 +29,7 @@ from .fock import (
     JointOccupationDistribution,
     as_nbar,
     as_visibility,
+    thermal_pmf,
 )
 
 IN_A = "In_A"
@@ -159,9 +160,8 @@ def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
 def make_source(spec: SourceSpec,
                 cutoff: int = DEFAULT_CUTOFF) -> JointOccupationDistribution:
     """Build the two-mode input distribution over ``(In_A, In_B)``."""
-    # the spec validated nbar already; fock.thermal_pmf would warn again
     if spec.kind is SourceKind.UNCORRELATED:
-        pmf = [spec.nbar ** n / (1.0 + spec.nbar) ** (n + 1) for n in range(cutoff + 1)]
+        pmf = [thermal_pmf(spec.nbar, n) for n in range(cutoff + 1)]
         entries = {(a, b): pmf[a] * pmf[b]
                    for a in range(cutoff + 1) for b in range(cutoff + 1 - a)}
         lost = 1.0 - math.fsum(entries.values())

@@ -1,13 +1,11 @@
 """End-to-end command line tests driven through main()."""
 
 import json
-import warnings
 
 import pytest
 
 import demonlab.harness as harness
 from demonlab.cli import main
-from demonlab.fock import LowPhotonRegimeWarning
 
 
 def test_sweep_preset_to_stdout(capsys):
@@ -121,6 +119,11 @@ _ARGUMENT_ERRORS = [
     # a memory kernel longer than the stream is refused before it is built
     (["g2", "--nbar", "0.5", "--model", "gaussian-memory", "--tau-c", "1e9",
       "--slots", "100000"], "tau_c"),
+    # the iid model has no memory scale to take
+    (["g2", "--nbar", "0.5", "--tau-c", "3"], "tau_c"),
+    # a fit that no delay on the slope constrains would return its start
+    (["g2", "--nbar", "0.5", "--slots", "100000", "--seed", "1", "--model",
+      "gaussian-memory", "--tau-c", "3", "--taus", "0,5", "--fit"], "taus"),
 ]
 
 
@@ -163,16 +166,6 @@ def test_info_command(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["mutual_info_bits"] == pytest.approx(2.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("kind", ["uncorrelated", "split-thermal"])
-def test_info_warns_once_about_the_given_brightness(kind, capsys):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["info", "--kind", kind, "--nbar", "0.3"]) == 0
-    low = [w for w in caught if issubclass(w.category, LowPhotonRegimeWarning)]
-    assert len(low) == 1
-    assert "mean photon number 0.3 " in str(low[0].message)
 
 
 def _stub_checks(monkeypatch, **rows):

@@ -6,13 +6,11 @@ power and imbalance error bars against the scatter of many seeds.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from demonlab.analytics import Normalization
-from demonlab.fock import LowPhotonRegimeWarning
 from demonlab.montecarlo import (
     STREAM_VERSION,
     RunConfig,
@@ -92,26 +90,16 @@ def test_dead_window_holds_its_state_across_a_block_boundary():
     assert states.tolist() == want.tolist() and suppressed == want_suppressed
 
 
-def _quiet(fn, *args):
-    # nbar = 0.5 is deliberate: dense light occupies most slots
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowPhotonRegimeWarning)
-        return fn(*args)
-
-
-def _bright(kind):
-    return _quiet(getattr(SourceSpec, kind), 0.5)
-
-
 # (bath, exact-reference cutoff); the cutoff leaves a truncated mass far
-# below one standard error of any rate checked here
+# below one standard error of any rate checked here.  nbar = 0.5 is
+# deliberate: dense light occupies most slots
 BATHS = [
     (SourceSpec.uncorrelated(0.05), 8),
     (SourceSpec.split_thermal(0.05), 8),
     (SourceSpec.correlated(s2=0.01), 4),
     (SourceSpec.anti_correlated(s2=0.01, v2=0.87), 4),
-    (_bright("uncorrelated"), 15),
-    (_bright("split_thermal"), 15),
+    (SourceSpec.uncorrelated(0.5), 15),
+    (SourceSpec.split_thermal(0.5), 15),
 ]
 R2, EPS2, SLOTS = 0.3, 0.7, 1_000_000
 
@@ -133,7 +121,7 @@ def _exact_rates(outcome):
 @pytest.mark.parametrize("index", range(len(BATHS)))
 def test_run_tallies_match_exact_rates(index):
     spec, cutoff = BATHS[index]
-    state = _quiet(make_source, spec, cutoff)
+    state = make_source(spec, cutoff)
     policies = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS,
                 RunMode.FEED_FORWARD: canonical_policy(spec.kind)}
     for mode, policy in policies.items():
@@ -168,7 +156,7 @@ def test_imbalance_error_bars_match_the_scatter_of_seeds(window):
 
     The ratio is 1 up to its sampling error, 1/sqrt(2 * 400); the band is 4 of those.
     """
-    spec = _bright("uncorrelated")
+    spec = SourceSpec.uncorrelated(0.5)
     deltas, errs = [], []
     for seed in range(400):
         res = run(RunConfig(spec=spec, r=math.sqrt(0.3), eps2=0.8, slots=20_000,

@@ -2,7 +2,6 @@
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ import pytest
 from demonlab.fock import (
     DEFAULT_CUTOFF,
     JointOccupationDistribution,
-    LowPhotonRegimeWarning,
     as_amplitude,
     as_efficiency,
     as_nbar,
@@ -23,24 +21,14 @@ from demonlab.fock import (
 
 
 def test_mean_photon_number_validation():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # 0.05 lies in the low-photon regime
-        assert as_nbar(0.05) == 0.05
+    assert as_nbar(0.05) == 0.05
+    assert as_nbar(2.0) == 2.0  # bright baths are valid: every closed form is exact
     with pytest.raises(ValueError):
         as_nbar(-0.01)
     with pytest.raises(ValueError):
         as_nbar(float("nan"))
     with pytest.raises(ValueError):
         as_nbar(float("inf"))
-
-
-def test_mean_photon_number_warns_outside_low_regime():
-    with pytest.warns(LowPhotonRegimeWarning):
-        assert as_nbar(0.5) == 0.5
-    # boundary value stays quiet
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        as_nbar(0.2)
 
 
 def test_reflection_amplitude_roundtrip():

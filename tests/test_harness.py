@@ -26,7 +26,7 @@ from demonlab.harness import (
     run_sweep,
 )
 from demonlab.analytics import Normalization, closed_form_power
-from demonlab.sources import SourceKind
+from demonlab.sources import SourceKind, SourceSpec
 
 
 def _minimal(**overrides):
@@ -157,8 +157,8 @@ def test_run_sweep_analytic_matches_closed_form():
     rows = run_sweep(cfg)
     assert len(rows) == 3
     for row in rows:
-        want = closed_form_power(SourceKind.UNCORRELATED, Normalization.SINGLES,
-                                 math.sqrt(row.r2), nbar=0.05)
+        want = closed_form_power(SourceSpec.uncorrelated(0.05), math.sqrt(row.r2), 1.0,
+                                 Normalization.SINGLES)
         assert abs(row.analytic - want) < 1e-15
         assert row.mc is None and row.mc_stderr is None
         assert row.mutual_info_bits is None
@@ -193,8 +193,8 @@ def test_run_sweep_is_deterministic():
 
 def test_run_sweep_warn_hook(monkeypatch):
     data = _minimal(engine="both", slots=50_000, grid=[0.5])
-    monkeypatch.setattr(harness, "expected_power", lambda *args: 99.0)
-    # a wildly wrong exact reference must trip the cross-check
+    monkeypatch.setattr(harness, "closed_form_power", lambda *args: 99.0)
+    # a wildly wrong analytic cell, the row's reference, must trip the cross-check
     with pytest.warns(UserWarning, match="vs exact 99 exceeds"):
         run_sweep(parse_sweep_config(data))
 
@@ -203,7 +203,7 @@ def _sweep_at_three_and_a_half_sigma(monkeypatch, grid):
     """Every simulated point sits 3.5 standard errors from its exact value."""
     measured = type("Measured", (), {"value": 1.35, "stderr": 0.1})
     monkeypatch.setattr(harness, "measure_power", lambda *args: measured)
-    monkeypatch.setattr(harness, "expected_power", lambda *args: 1.0)
+    monkeypatch.setattr(harness, "closed_form_power", lambda *args: 1.0)
     return run_sweep(parse_sweep_config(_minimal(engine="both", grid=grid)))
 
 
@@ -217,7 +217,6 @@ def test_run_sweep_warning_threshold_is_family_wise(monkeypatch):
     assert len(rows) == 42
 
 
-@pytest.mark.filterwarnings("ignore::demonlab.fock.LowPhotonRegimeWarning")
 def test_run_sweep_compares_bright_baths():
     data = _minimal(engine="both", slots=20_000, grid=[0.5],
                     sources=[{"name": "s", "kind": "split_thermal", "nbar": 2.0}])

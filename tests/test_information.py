@@ -34,7 +34,6 @@ def test_information_vanishes_without_taps_or_light():
         assert mutual_information(spec, 0.5, 0.0).mutual_info_bits == pytest.approx(0.0, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::demonlab.fock.LowPhotonRegimeWarning")
 def test_information_vanishes_without_taps_for_bright_thermal_baths():
     """Nothing clicks at r2 = 0; a truncation that drops mass unaccounted
     would show a spurious bit count here (1.76e-4 for the split bath at a

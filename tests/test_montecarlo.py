@@ -3,12 +3,10 @@
 import json
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from demonlab.fock import LowPhotonRegimeWarning
 from demonlab.montecarlo import (
     BLOCK,
     MIN_G2_SLOTS,
@@ -204,21 +202,15 @@ def test_calibrate_balance_rejects_gross_imbalance():
         calibrate_balance(cfg)
 
 
-def _quiet_nbar(value):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LowPhotonRegimeWarning)
-        return SourceSpec.uncorrelated(value)
-
-
 def test_g2_iid_thermal_stream():
-    spec = _quiet_nbar(0.5)
+    spec = SourceSpec.uncorrelated(0.5)
     samples = dict(estimate_g2(spec, 400_000, seed=51, tau_grid=(0, 3)))
     assert abs(samples[0] - 2.0) < 0.1
     assert abs(samples[3] - 1.0) < 0.05
 
 
 def test_g2_input_validation():
-    spec = _quiet_nbar(0.5)
+    spec = SourceSpec.uncorrelated(0.5)
     with pytest.raises(ValueError):
         estimate_g2(spec, MIN_G2_SLOTS - 1, seed=1, tau_grid=(0, 1))
     with pytest.raises(ValueError):
@@ -228,12 +220,14 @@ def test_g2_input_validation():
     with pytest.raises(ValueError):
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1),
                     model="gaussian-memory")  # tau_c missing
+    with pytest.raises(ValueError, match="tau_c"):
+        estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1), tau_c=3.0)  # iid has none
     with pytest.raises(ValueError):
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1), model="bogus")
 
 
 def test_g2_gaussian_memory_decays_on_the_set_scale():
-    spec = _quiet_nbar(0.5)
+    spec = SourceSpec.uncorrelated(0.5)
     taus = (0, 2, 4, 6, 9, 12, 18)
     samples = estimate_g2(spec, 400_000, seed=53, tau_grid=taus,
                           model="gaussian-memory", tau_c=6.0)
@@ -264,7 +258,7 @@ def test_lag_sums_over_blocks_match_the_whole_stream():
 
 @pytest.mark.parametrize("model, tau_c", [("iid", None), ("gaussian-memory", 8.0)])
 def test_g2_memory_does_not_grow_with_the_stream(model, tau_c):
-    spec = _quiet_nbar(0.5)
+    spec = SourceSpec.uncorrelated(0.5)
     tracemalloc.start()
     try:
         estimate_g2(spec, 2_000_000, seed=5, tau_grid=(0, 1, 2, 5, 10, 20, 30),
@@ -277,7 +271,7 @@ def test_g2_memory_does_not_grow_with_the_stream(model, tau_c):
 
 def test_tau_c_fit_matches_curve_fit():
     curve_fit = pytest.importorskip("scipy.optimize").curve_fit
-    spec = _quiet_nbar(0.5)
+    spec = SourceSpec.uncorrelated(0.5)
     for seed, tau_c in ((61, 4.0), (62, 8.0), (63, 12.0)):
         samples = estimate_g2(spec, MIN_G2_SLOTS, seed, (0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32),
                               model="gaussian-memory", tau_c=tau_c)
@@ -292,6 +286,7 @@ def test_tau_c_fit_matches_curve_fit():
     [(0, 2.0), (4, math.nan), (8, 1.1)],
     [(0, 2.0), (math.inf, 1.0)],
     [],
+    [(0, 2.0), (5, 1.0)],  # no positive delay on the slope: the start would come back
 ])
 def test_tau_c_fit_refuses_bad_samples(samples):
     with pytest.raises(ValueError):

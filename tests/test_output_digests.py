@@ -17,18 +17,18 @@ from demonlab.montecarlo import STREAM_VERSION, RunConfig, run
 from demonlab.sources import SourceSpec
 
 PRESET_DIGESTS = {
-    ("fig4a", "csv"): "63379bf2fdcbf6e1617e55df076a4d8e81496de121500b537bccb1784a854f3a",
-    ("fig4a", "json"): "a1c3d9f84c891ca9a4c1cd1a713f57cdb03bb122cf34c549eabfa0d4cf9cb9ad",
-    ("fig4a", "svg"): "5d8c718dacb52a1af36ec53783d25037160219b65b98e3f408e833f9774d97ac",
-    ("fig4b", "csv"): "5309dad822fc618edc4bab1c4fdf7f5121a266a425ae47407847555f48027c62",
-    ("fig4b", "json"): "c1c61c7ed1eb79c4c897b307bc79034af8774c6562a53ab24e7fed17429e6dcf",
-    ("fig4b", "svg"): "84ba4837da4129db4e43c5097c20ce25a6e255679fd9e9cc951365cd14ef1d5c",
-    ("fig5a", "csv"): "3fcec38007767ecd21831b3b88e21d2d2c5acd7f6887f8fc36cec5f8c0691ce8",
-    ("fig5a", "json"): "5f130fcc9f3f5575f15118ff94813194671ff802cc3ecc1522c385ff5612f9d0",
-    ("fig5a", "svg"): "5d8c718dacb52a1af36ec53783d25037160219b65b98e3f408e833f9774d97ac",
-    ("fig5b", "csv"): "27db5296a38c42918f0a92e0a6bf1e4bd873a9101c91bafd189293bc51eaec20",
-    ("fig5b", "json"): "436890b39f918298b04bae7412b690534a3ad4b6a856d022ae0dd25d851e6e81",
-    ("fig5b", "svg"): "f1adab05fc341480c3a66bca7f2273b3c420c602b3d49e74b9f20818cfab3558",
+    ("fig4a", "csv"): "71398c8885331a01d97eb9b8bf52d317154a275d5bfbfddaf472e4e3645de56a",
+    ("fig4a", "json"): "b0621e850f58ac8bf23317880ca80f18c2e1a8b6b493828de8be9998060e4a72",
+    ("fig4a", "svg"): "18f1479983517883fa42362ffbc04714baf7de3669bc8a9932266fe119a5e3e7",
+    ("fig4b", "csv"): "1ed05ead4e94fd5d64b4815d09a64fa04b4db716d306870c844c5c9dee378548",
+    ("fig4b", "json"): "2488005f288705262ae1998a468b05f461656a453dc77d61a144e92522800316",
+    ("fig4b", "svg"): "02f425964c370a0420022cb2de1112e0b935ed25de62e392bd597a8a9d16e385",
+    ("fig5a", "csv"): "3b9706bf491f8cc83787fbae3742bc69f97f890efdf482b0b3dc190fabc0bc26",
+    ("fig5a", "json"): "c7e5cbf70c2c6e4f854ad526c482c2d8c5991ac308eee8768747ceecc2e373be",
+    ("fig5a", "svg"): "18f1479983517883fa42362ffbc04714baf7de3669bc8a9932266fe119a5e3e7",
+    ("fig5b", "csv"): "6010b3c92bfe8ca9caadcc9b93762d959c2292418d47555a7e5189dda9e96362",
+    ("fig5b", "json"): "7ffa182bd8af9397f7c8669a8bb9d926e8a40e01a3036c24e66dfa82b9cbf69c",
+    ("fig5b", "svg"): "28108001631bc416c1a4c1ef4d0ff236a2b413ae9cdd659071f090f0e6a7bbd6",
 }
 
 # default tap (r2 0.5) and coupling (eps2 1)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demonlab.analytics import closed_form_power
 from demonlab.oracle import compare, enumerate_outcomes
 from demonlab.protocol import (
     ALL_BAR,
@@ -27,10 +28,7 @@ from demonlab.protocol import (
     expected_power,
     propagate,
 )
-from demonlab.sources import SourceSpec, make_source
-
-# the warning guards the closed forms, which play no part here
-pytestmark = pytest.mark.filterwarnings("ignore::demonlab.fock.LowPhotonRegimeWarning")
+from demonlab.sources import PAIR_KINDS, SourceSpec, make_source
 
 _unit = st.floats(0.0, 1.0)
 
@@ -111,6 +109,30 @@ def test_expected_power_matches_propagated_tables(spec, r2, eps2, pairs):
     got = expected_power(spec, math.sqrt(r2), eps2, normalization)
     want = _power_from_propagate(spec, r2, eps2, normalization)
     assert abs(got - want) <= 1e-12
+
+
+#: The four baths, thermal ones up to nbar 10.  A pair bath's power is a
+#: ratio whose limit at s2 = 0 is its law, not 0, so pairs keep s2 >= 1e-3.
+bright_baths = st.one_of(
+    st.builds(SourceSpec.uncorrelated, st.floats(0.0, 10.0)),
+    st.builds(SourceSpec.split_thermal, st.floats(0.0, 10.0)),
+    pair_baths(1e-3),
+)
+
+
+# eps2 >= 0.01: below it the reference's own rounding grows as about 1e-15 / eps2
+@settings(max_examples=100, deadline=None)
+@given(bright_baths, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       st.floats(0.01, 1.0), st.booleans())
+def test_closed_forms_are_exact(spec, r2, eps2, pairs):
+    normalization = "pairs" if pairs and spec.kind in PAIR_KINDS else "singles"
+    r = math.sqrt(r2)
+    try:
+        exact = expected_power(spec, r, eps2, normalization)
+    except ValueError as exc:  # nothing is detected, so the law must vanish
+        assert "denominator is zero" in str(exc)
+        exact = 0.0
+    assert abs(closed_form_power(spec, r, eps2, normalization) - exact) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)

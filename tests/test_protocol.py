@@ -207,6 +207,5 @@ def test_expected_power_refuses_what_it_cannot_compute():
     with pytest.raises(ValueError, match="denominator"):
         expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 0.0, "singles")
     # brightness is no limit: the generating function needs no truncation
-    with pytest.warns(Warning):
-        bright = SourceSpec.split_thermal(2.0)
+    bright = SourceSpec.split_thermal(2.0)
     assert abs(expected_power(bright, R_HALF, 1.0, "singles")) <= 1e-15
