@@ -483,6 +483,26 @@ def _power_check(spec: SourceSpec, normalization: Normalization, seed: int):
     return check
 
 
+def _check_headline_ratio():
+    """Simulated peak pair power over peak thermal power, against the exact ratio.
+
+    Pair-normalized correlated power (s2 0.01) over singles thermal power
+    (nbar 0.05), both at r2 0.5, eps2 1 and 1e7 slots; the delta method
+    gives the ratio's error bar.
+    """
+    r, exact = math.sqrt(0.5), peak_enhancement_ratio(0.05)
+    pair = measure_power(SourceSpec.correlated(s2=0.01), r, 1.0, 10_000_000, 105,
+                         Normalization.PAIRS)
+    thermal = measure_power(SourceSpec.uncorrelated(0.05), r, 1.0, 10_000_000, 106,
+                            Normalization.SINGLES)
+    ratio = pair.value / thermal.value
+    band = 3.0 * abs(ratio) * math.hypot(pair.stderr / pair.value,
+                                         thermal.stderr / thermal.value)
+    return abs(ratio - exact) <= band and ratio - band >= 10.0, (
+        f"pair/thermal peak power {ratio:.3f} vs exact {exact:.3f} +- {band:.3f}, "
+        f"lower bound {ratio - band:.2f} (>=10; seeds 105, 106, 1e7 slots)")
+
+
 def _check_closed_forms():
     r, pairs, singles = math.sqrt(0.5), Normalization.PAIRS, Normalization.SINGLES
     corr = closed_form_power(SourceSpec.correlated(s2=0.01), r, 1.0, pairs)
@@ -577,6 +597,7 @@ CHECKS = (
          Normalization.SINGLES, 103),
         ("anti_correlated_power", SourceSpec.anti_correlated(s2=0.01, v2=0.87),
          Normalization.PAIRS, 104))),
+    ("headline_ratio", _check_headline_ratio),
     ("closed_forms", _check_closed_forms),
     ("oracle_match", _check_oracle_match),
     ("info", _check_info),

@@ -27,9 +27,14 @@ switch only relabels the arms.
 A response dead window freezes the switch for ``dead_window_slots`` slots
 after an effective monitor click, in the state that click chose.  Only
 dead-window runs need slot positions.  They draw the sorted positions of
-the occupied slots after the cells, walk only the clicks to find the
-effective ones, and carry the last effective click into the next block, so
-a window that crosses a block boundary keeps its held state.
+the occupied slots after the cells and find the effective clicks without a
+per-click loop.  Each click's successor is the first click at least
+``window + 1`` slots after it, one ``searchsorted`` for all clicks; the
+effective clicks are the chain of successors from the first click free of
+the held window, marked by pointer doubling (Wyllie, 1979) in about
+``log2(clicks)`` vectorized steps.  The last effective click is carried
+into the next block, so a window that crosses a block boundary keeps its
+held state.
 
 Determinism: a run is a pure function of its config.  Block ``i`` consumes
 ``SeedSequence(seed, spawn_key=(i,))``, the child ``spawn`` would give it,
@@ -220,13 +225,18 @@ def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
     """
     last, held = carry
     clicks = np.flatnonzero(clicked)
-    effective = []
-    free_from = last + 1 + window
-    for j, slot in zip(clicks.tolist(), slots[clicks].tolist()):
-        if slot >= free_from:
-            effective.append(j)
-            free_from = slot + 1 + window
-    effective = np.array(effective, dtype=np.intp)
+    click_slots = slots[clicks]
+    # each click's successor is the first click free of its window, or the
+    # sentinel clicks.size; the effective clicks are the chain of successors
+    # from the first free click, found by pointer doubling
+    jump = np.append(np.searchsorted(click_slots, click_slots + window + 1), clicks.size)
+    first = np.searchsorted(click_slots, last + window + 1)
+    on = np.zeros(clicks.size + 1, dtype=bool)
+    on[first] = True
+    while jump[first] != clicks.size:
+        on[jump[on]] = True
+        jump = jump[jump]
+    effective = clicks[on[:-1]]
     eff_slots = np.concatenate(([last], slots[effective]))
     eff_states = np.concatenate(([held], own[effective]))
     is_effective = np.zeros(slots.size, dtype=np.intp)
@@ -391,7 +401,9 @@ def _gaussian_memory_blocks(rng: np.random.Generator, nbar: float, slots: int,
     Poisson in the instantaneous intensity, which keeps every marginal
     exactly thermal.  The noise is drawn ``BLOCK`` slots at a time, and the
     last ``2 * half`` samples of each block are carried as the halo of the
-    next, so the smoothed field runs on across block boundaries.
+    next, so the smoothed field runs on across block boundaries.  The
+    noise is drawn into one buffer that every block reuses, one row at a
+    time, and the intensity is formed in place on the smoothed rows.
     """
     a = tau_c / math.sqrt(2.0 * math.pi)
     half = max(1, int(math.ceil(6.0 * a)))
@@ -401,12 +413,22 @@ def _gaussian_memory_blocks(rng: np.random.Generator, nbar: float, slots: int,
     kernel = np.exp(-np.arange(-half, half + 1) ** 2 / (2.0 * a * a))
     # the field is (re + i im) / sqrt(2), so its intensity is (re**2 + im**2) / 2
     scale = nbar / (2.0 * float(np.sum(kernel ** 2)))
-    noise = rng.standard_normal((2, 2 * half))
+    halo = 2 * half
+    noise = np.empty((2, halo + BLOCK))
+    for row in noise:
+        rng.standard_normal(out=row[:halo])
     for base in range(0, slots, BLOCK):
-        noise = np.concatenate((noise[:, -2 * half:],
-                                rng.standard_normal((2, min(BLOCK, slots - base)))), axis=1)
-        re, im = (np.convolve(row, kernel, mode="valid") for row in noise)
-        yield rng.poisson((re * re + im * im) * scale)
+        if base:  # the halo: the last 2 * half samples of the full block before
+            noise[:, :halo] = noise[:, BLOCK:]
+        size = min(BLOCK, slots - base)
+        for row in noise:
+            rng.standard_normal(out=row[halo:halo + size])
+        re, im = (np.convolve(row[:halo + size], kernel, mode="valid") for row in noise)
+        re *= re
+        im *= im
+        re += im
+        re *= scale
+        yield rng.poisson(re)
 
 
 def _lag_sums(carry: np.ndarray, half_1: np.ndarray, half_2: np.ndarray, taus):
@@ -416,15 +438,21 @@ def _lag_sums(carry: np.ndarray, half_1: np.ndarray, half_2: np.ndarray, taus):
     block, at most ``max(taus)`` of them.  Returns, for each ``tau``, the
     exact integer sum of ``half_1[i] * half_2[i + tau]`` over the pairs
     whose later slot ``i + tau`` lies in this block, and the new carry.
+    The pairs whose earlier slot lies in the carry are summed apart.
     """
-    ext = np.concatenate((carry, half_1))
-    lead = carry.size
+    lead, size = carry.size, half_1.size
     sums = []
     for tau in taus:
-        first = max(tau - lead, 0)  # the block's first slot with a partner
-        sums.append(int(np.dot(ext[lead + first - tau:ext.size - tau], half_2[first:]))
-                    if first < half_2.size else 0)
-    return sums, ext[max(ext.size - max(taus, default=0), 0):]
+        total = int(np.dot(half_1[:size - tau], half_2[tau:])) if tau < size else 0
+        first, stop = max(tau - lead, 0), min(tau, size)  # later slots paired in the carry
+        if first < stop:
+            total += int(np.dot(carry[lead + first - tau:lead + stop - tau],
+                                half_2[first:stop]))
+        sums.append(total)
+    keep = max(taus, default=0)
+    if size >= keep:
+        return sums, half_1[size - keep:].copy()
+    return sums, np.concatenate((carry, half_1))[max(lead + size - keep, 0):]
 
 
 def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
@@ -472,7 +500,7 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
         occupied = np.flatnonzero(counts)
         # Binomial(0, 1/2) is 0, so drawing only the occupied slots is exact
         half_1[occupied] = rng.binomial(counts[occupied], 0.5)
-        half_2 = counts - half_1
+        half_2 = np.subtract(counts, half_1, out=counts)
         total_1 += int(half_1.sum())
         total_2 += int(half_2.sum())
         block_sums, carry = _lag_sums(carry, half_1, half_2, taus)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from demonlab.analytics import Normalization
 from demonlab.montecarlo import (
@@ -50,7 +51,7 @@ def _per_slot_dead_window(size, base, occupied, clicked, own, window, held):
 
 
 @pytest.mark.parametrize("window", [1, 10, 100])
-@pytest.mark.parametrize("occupancy", [0.05, 0.5])
+@pytest.mark.parametrize("occupancy", [0.05, 0.5, 0.95])
 def test_dead_window_walk_matches_per_slot_loop(window, occupancy):
     rng = np.random.default_rng(window * 1000 + int(occupancy * 100))
     size = 700
@@ -68,6 +69,41 @@ def test_dead_window_walk_matches_per_slot_loop(window, occupancy):
             size, base, occupied, clicked, own, window, held)
         assert np.array_equal(states, want), (block, window)
         assert suppressed == want_suppressed
+
+
+#: One block: (size, occupancy, click chance), each drawn over its whole range.
+_blocks = st.lists(st.tuples(st.integers(1, 400), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+                   min_size=2, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks, st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+@example([(300, 0.0, 0.5), (300, 1.0, 1.0), (300, 1.0, 1.0)], 1, 0)  # empty, then every slot clicks
+@example([(50, 1.0, 1.0), (50, 0.0, 0.0), (50, 1.0, 1.0)], 200, 1)  # a window over whole blocks
+def test_dead_window_walk_matches_per_slot_loop_on_random_blocks(blocks, window, seed):
+    """States, suppressed clicks and carries, block after block, against the loop."""
+    rng = np.random.default_rng(seed)
+    carry = (-window - 1, False)
+    held = (0, False)
+    base = 0
+    for size, occupancy, click_chance in blocks:
+        k = int(rng.binomial(size, occupancy))
+        occupied = base + np.sort(rng.choice(size, k, replace=False))
+        clicked = rng.random(k) < click_chance
+        own = rng.random(k) < 0.5
+        states, suppressed, carry = _dead_window_states(occupied, clicked, own,
+                                                        window, carry)
+        want, want_suppressed, held = _per_slot_dead_window(
+            size, base, occupied, clicked, own, window, held)
+        assert np.array_equal(states, want)
+        assert suppressed == want_suppressed
+        # the carried click frees the switch where the loop does; its state
+        # matters only while its window reaches into the next block
+        frozen_until = carry[0] + 1 + window
+        assert frozen_until == held[0]
+        base += size
+        if frozen_until > base:
+            assert carry[1] == held[1]
 
 
 def test_dead_window_holds_its_state_across_a_block_boundary():
