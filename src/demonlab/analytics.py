@@ -24,7 +24,7 @@ import math
 from enum import Enum
 
 from .fock import as_amplitude, as_efficiency
-from .sources import SourceKind, SourceSpec, THERMAL_KINDS
+from .sources import PAIR_KINDS, SourceKind, SourceSpec
 
 
 class Normalization(str, Enum):
@@ -32,11 +32,20 @@ class Normalization(str, Enum):
     PAIRS = "pairs"
 
 
+def as_normalization(spec: SourceSpec, normalization) -> Normalization:
+    """Validate a power normalization of ``spec``; only pair baths have pairs."""
+    try:
+        normalization = Normalization(normalization)
+    except ValueError:
+        raise ValueError(f"expected 'singles' or 'pairs', got {normalization!r}") from None
+    if normalization is Normalization.PAIRS and spec.kind not in PAIR_KINDS:
+        raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
+    return normalization
+
+
 def closed_form_power(spec: SourceSpec, r, eps2, normalization) -> float:
     """Closed-form normalized power of ``spec`` at tap amplitude ``r``."""
-    normalization = Normalization(normalization)
-    if spec.kind in THERMAL_KINDS and normalization is Normalization.PAIRS:
-        raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
+    normalization = as_normalization(spec, normalization)
     r = as_amplitude(r)
     r2 = r * r
     eps2 = as_efficiency(eps2)

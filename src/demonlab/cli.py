@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
 import json
 import math
 import os
@@ -117,19 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _emit(payload: str, path) -> None:
-    stream, owned = _open_out(path)
-    try:
-        stream.write(payload)
-    finally:
-        if owned:
-            stream.close()
+    if path is None:
+        sys.stdout.write(payload)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(payload)
 
 
 def _cmd_sweep(args) -> int:
@@ -137,13 +131,9 @@ def _cmd_sweep(args) -> int:
     seed = _resolve_seed(args.seed, config.seed)
     if seed != config.seed:
         config = dataclasses.replace(config, seed=seed)
-    rows = run_sweep(config)
-    stream, owned = _open_out(args.out)
-    try:
-        emit_report(rows, stream, args.format)
-    finally:
-        if owned:
-            stream.close()
+    report = io.StringIO()
+    emit_report(run_sweep(config), report, args.format)
+    _emit(report.getvalue(), args.out)
     return 0
 
 

@@ -32,14 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import Normalization, closed_form_power, peak_enhancement_ratio
+from .analytics import (Normalization, as_normalization, closed_form_power,
+                        peak_enhancement_ratio)
+from .fock import as_efficiency
 from .information import mutual_information
 from .montecarlo import measure_power
 from .oracle import (compare, enumerate_outcomes, symbolic_delta_pairs,
                      symbolic_delta_uncorrelated, truncated_uncorrelated_delta)
 from .protocol import (TABLE_PAIR, TABLE_THERMAL, canonical_policy, expected_power,
                        propagate)
-from .sources import PAIR_KINDS, SourceKind, SourceSpec, make_source
+from .sources import PARAMETERS, SourceKind, SourceSpec, make_source
 
 DEFAULT_GRID = {"start": 0.0, "stop": 0.5, "step": 0.025}
 MAX_GRID_POINTS = 10_001
@@ -84,13 +86,17 @@ class SweepConfig:
     sources: tuple[SourceSeries, ...]
 
 
+def _checked(path: str, convert, *args, **kwargs):
+    """``convert(*args, **kwargs)``, a ``ValueError`` re-raised naming ``path``."""
+    try:
+        return convert(*args, **kwargs)
+    except ValueError as exc:
+        raise _fail(path, str(exc)) from None
+
+
 def _parse_source(data, path: str) -> SourceSeries:
     if not isinstance(data, dict):
         raise _fail(path, "each source must be an object")
-    known = {"name", "kind", "nbar", "s2", "v2", "eps2", "normalization"}
-    for key in data:
-        if key not in known:
-            raise _fail(f"{path}.{key}", "unknown field")
     kind_raw = data.get("kind")
     if not isinstance(kind_raw, str):
         raise _fail(f"{path}.kind", "required field is missing or not a string")
@@ -100,43 +106,17 @@ def _parse_source(data, path: str) -> SourceSeries:
         raise _fail(f"{path}.kind",
                     f"unknown kind {kind_raw!r}; expected one of "
                     f"{sorted(k.value for k in SourceKind)}") from None
-    eps2 = _get_number(data, path, "eps2", default=1.0)
-    if not 0.0 <= eps2 <= 1.0:
-        raise _fail(f"{path}.eps2", "must lie in [0, 1]")
-    try:
-        if kind in PAIR_KINDS:
-            if "nbar" in data:
-                raise _fail(f"{path}.nbar", f"not a parameter of {kind_raw!r}")
-            s2 = _get_number(data, path, "s2", required=True)
-            if kind is SourceKind.ANTI_CORRELATED:
-                v2 = _get_number(data, path, "v2", required=True)
-                spec = SourceSpec.anti_correlated(s2=s2, v2=v2)
-            else:
-                if "v2" in data:
-                    raise _fail(f"{path}.v2", f"not a parameter of {kind_raw!r}")
-                spec = SourceSpec.correlated(s2=s2)
-        else:
-            for key in ("s2", "v2"):
-                if key in data:
-                    raise _fail(f"{path}.{key}", f"not a parameter of {kind_raw!r}")
-            nbar = _get_number(data, path, "nbar", required=True)
-            if kind is SourceKind.UNCORRELATED:
-                spec = SourceSpec.uncorrelated(nbar)
-            else:
-                spec = SourceSpec.split_thermal(nbar)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _fail(path, str(exc)) from exc
-    norm_raw = data.get("normalization", "singles")
-    try:
-        norm = Normalization(norm_raw)
-    except ValueError:
-        raise _fail(f"{path}.normalization",
-                    f"expected 'singles' or 'pairs', got {norm_raw!r}") from None
-    if norm is Normalization.PAIRS and kind not in PAIR_KINDS:
-        raise _fail(f"{path}.normalization",
-                    f"pair normalization is undefined for {kind_raw!r}")
+    for key in data:
+        if key not in ("name", "kind", "eps2", "normalization", *PARAMETERS[kind]):
+            foreign = any(key in names for names in PARAMETERS.values())
+            raise _fail(f"{path}.{key}",
+                        f"not a parameter of {kind_raw!r}" if foreign else "unknown field")
+    values = {key: _get_number(data, path, key, required=True) for key in PARAMETERS[kind]}
+    spec = _checked(path, SourceSpec, kind, **values)
+    eps2 = _checked(f"{path}.eps2", as_efficiency,
+                    _get_number(data, path, "eps2", default=1.0))
+    norm = _checked(f"{path}.normalization", as_normalization, spec,
+                    data.get("normalization", "singles"))
     name = data.get("name", kind_raw)
     if not isinstance(name, str) or not name:
         raise _fail(f"{path}.name", "must be a non-empty string")
@@ -225,66 +205,29 @@ def load_config(path: str) -> SweepConfig:
     return parse_sweep_config(data)
 
 
+#: The four weak baths of the figures, before coupling and normalization.
+_WEAK_BATHS = (
+    {"name": "uncorrelated", "kind": "uncorrelated", "nbar": 0.05},
+    {"name": "split-thermal", "kind": "split_thermal", "nbar": 0.05},
+    {"name": "correlated", "kind": "correlated", "s2": 0.01},
+    {"name": "anti-correlated", "kind": "anti_correlated", "s2": 0.01, "v2": 0.87},
+)
+
+
+def _series(eps2: float, baths=_WEAK_BATHS, normalization="singles", suffix="") -> list:
+    return [{**bath, "name": bath["name"] + suffix, "eps2": eps2,
+             "normalization": normalization} for bath in baths]
+
+
 PRESETS: dict[str, dict] = {
     # Singles-normalized power of all four baths at matched brightness.
-    "fig4a": {
-        "version": 1,
-        "engine": "analytic",
-        "sources": [
-            {"name": "uncorrelated", "kind": "uncorrelated", "nbar": 0.05,
-             "eps2": 0.14, "normalization": "singles"},
-            {"name": "split-thermal", "kind": "split_thermal", "nbar": 0.05,
-             "eps2": 0.14, "normalization": "singles"},
-            {"name": "correlated", "kind": "correlated", "s2": 0.01,
-             "eps2": 0.14, "normalization": "singles"},
-            {"name": "anti-correlated", "kind": "anti_correlated", "s2": 0.01,
-             "v2": 0.87, "eps2": 0.14, "normalization": "singles"},
-        ],
-    },
+    "fig4a": {"sources": _series(0.14)},
     # Pair-normalized pair sources against the thermal singles baseline.
-    "fig4b": {
-        "version": 1,
-        "engine": "analytic",
-        "sources": [
-            {"name": "uncorrelated", "kind": "uncorrelated", "nbar": 0.05,
-             "eps2": 1.0, "normalization": "singles"},
-            {"name": "correlated-pairs", "kind": "correlated", "s2": 0.01,
-             "eps2": 1.0, "normalization": "pairs"},
-            {"name": "anti-correlated-pairs", "kind": "anti_correlated",
-             "s2": 0.01, "v2": 0.87, "eps2": 1.0, "normalization": "pairs"},
-        ],
-    },
+    "fig4b": {"sources": _series(1.0, _WEAK_BATHS[:1])
+              + _series(1.0, _WEAK_BATHS[2:], "pairs", "-pairs")},
     # Mutual information sweeps at the fitted and the ideal coupling.
-    "fig5a": {
-        "version": 1,
-        "engine": "analytic",
-        "include_info": True,
-        "sources": [
-            {"name": "uncorrelated", "kind": "uncorrelated", "nbar": 0.05,
-             "eps2": 0.14, "normalization": "singles"},
-            {"name": "split-thermal", "kind": "split_thermal", "nbar": 0.05,
-             "eps2": 0.14, "normalization": "singles"},
-            {"name": "correlated", "kind": "correlated", "s2": 0.01,
-             "eps2": 0.14, "normalization": "singles"},
-            {"name": "anti-correlated", "kind": "anti_correlated", "s2": 0.01,
-             "v2": 0.87, "eps2": 0.14, "normalization": "singles"},
-        ],
-    },
-    "fig5b": {
-        "version": 1,
-        "engine": "analytic",
-        "include_info": True,
-        "sources": [
-            {"name": "uncorrelated", "kind": "uncorrelated", "nbar": 0.05,
-             "eps2": 1.0, "normalization": "singles"},
-            {"name": "split-thermal", "kind": "split_thermal", "nbar": 0.05,
-             "eps2": 1.0, "normalization": "singles"},
-            {"name": "correlated", "kind": "correlated", "s2": 0.01,
-             "eps2": 1.0, "normalization": "singles"},
-            {"name": "anti-correlated", "kind": "anti_correlated", "s2": 0.01,
-             "v2": 0.87, "eps2": 1.0, "normalization": "singles"},
-        ],
-    },
+    "fig5a": {"include_info": True, "sources": _series(0.14)},
+    "fig5b": {"include_info": True, "sources": _series(1.0)},
 }
 
 
@@ -292,7 +235,7 @@ def preset_config(name: str) -> SweepConfig:
     if name not in PRESETS:
         raise ConfigError(f"config: unknown preset {name!r}; "
                           f"expected one of {sorted(PRESETS)}")
-    return parse_sweep_config(json.loads(json.dumps(PRESETS[name])))
+    return parse_sweep_config(PRESETS[name])
 
 
 REPORT_FIELDS = ("source", "normalization", "r2", "analytic", "mc",

@@ -65,11 +65,21 @@ from enum import Enum
 import numpy as np
 
 from .fock import as_amplitude, as_efficiency
-from .analytics import Normalization
+from .analytics import Normalization, as_normalization
 from .protocol import _CELLS, ALL_BAR, ALL_CROSS, Policy, _no_click_points, canonical_policy
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, _pair_weights
 
 BLOCK = 1 << 16
+
+#: Largest per-arm mean of a thermal bath the engine takes.  ``_arm_clicks``
+#: tabulates the no-click chances of every count up to a block's largest.
+#: A thermal count exceeds ``m`` with chance about ``exp(-m / nbar)``, so the
+#: largest of a block's ``BLOCK`` counts is about ``nbar * ln(BLOCK)``; this
+#: bound keeps the table to about ``BLOCK`` rows, the size of the block.
+MAX_THERMAL_NBAR = BLOCK / math.log(BLOCK)
+
+#: Bisection steps ``calibrate_balance`` takes before it gives up.
+BALANCE_MAX_ITERS = 40
 
 #: Version of the random stream a seed yields; recorded in every result.
 STREAM_VERSION = 3
@@ -108,6 +118,9 @@ class RunConfig:
         object.__setattr__(self, "r", as_amplitude(self.r))
         object.__setattr__(self, "eps2", as_efficiency(self.eps2))
         object.__setattr__(self, "mode", RunMode(self.mode))
+        if self.spec.nbar is not None and self.spec.nbar > MAX_THERMAL_NBAR:
+            raise ValueError(f"nbar {self.spec.nbar!r} exceeds the event engine's bound "
+                             f"{MAX_THERMAL_NBAR:.0f} (BLOCK / ln(BLOCK))")
         if self.spec.drop_vacuum:
             raise ValueError("the event stream keeps the vacuum; drop_vacuum is an "
                              "analytics device")
@@ -179,7 +192,7 @@ def _occupied_sampler(spec: SourceSpec):
     weights = _pair_weights(spec)
     p_vac = weights.pop((0, 0))
     occs = sorted(weights)
-    if not occs:  # s = 0: every slot is vacuum and nothing is drawn
+    if not occs:  # s2 = 0: every slot is vacuum and nothing is drawn
         return p_vac, None
     cum = np.cumsum([weights[o] for o in occs])
     cum /= cum[-1]
@@ -327,9 +340,7 @@ def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
     so the delta method adds its share, ``value / sqrt(count)``; ``count``
     is the cross run's coincidences for pairs, its output clicks for singles.
     """
-    normalization = Normalization(normalization)
-    if normalization is Normalization.PAIRS and spec.kind not in PAIR_KINDS:
-        raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
+    normalization = as_normalization(spec, normalization)
     common = dict(spec=spec, r=r, eps2=eps2, slots=slots)
     cross = run(RunConfig(mode=RunMode.CROSS, seed=_derived_seed(seed, 1), **common))
     ff = run(RunConfig(mode=RunMode.FEED_FORWARD, seed=_derived_seed(seed, 2), **common))
@@ -346,8 +357,7 @@ def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
                             ff, cross)
 
 
-def calibrate_balance(config: RunConfig, max_iters: int = 40
-                      ) -> tuple[float, float]:
+def calibrate_balance(config: RunConfig) -> tuple[float, float]:
     """Find arm trims that null the bar-mode imbalance.
 
     Runs bar-mode acquisitions, attenuating the brighter arm by bisection
@@ -371,7 +381,7 @@ def calibrate_balance(config: RunConfig, max_iters: int = 40
         raise ValueError(f"arm imbalance {hi_rate}:{lo_rate} exceeds the 10x trim range")
 
     lo, hi = 0.0, 1.0
-    for i in range(1, max_iters + 1):
+    for i in range(1, BALANCE_MAX_ITERS + 1):
         mid = 0.5 * (lo + hi)
         trims = (mid, 1.0) if bright_is_a else (1.0, mid)
         res = bar_run(*trims, i)
@@ -382,7 +392,8 @@ def calibrate_balance(config: RunConfig, max_iters: int = 40
             hi = mid
         else:
             lo = mid
-    raise RuntimeError(f"balance calibration did not converge in {max_iters} iterations")
+    raise RuntimeError(f"balance calibration did not converge in {BALANCE_MAX_ITERS} "
+                       "iterations")
 
 
 def _thermal_blocks(rng: np.random.Generator, nbar: float, slots: int):

@@ -25,10 +25,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .analytics import Normalization
+from .analytics import Normalization, as_normalization
 from .fock import JointOccupationDistribution, as_amplitude, as_efficiency
-from .sources import (IN_A, IN_B, PAIR_KINDS, SourceKind, SourceSpec,
-                      generating_function_minus_one)
+from .sources import IN_A, IN_B, SourceKind, SourceSpec, generating_function_minus_one
 
 DEM_A = "Dem_A"
 DEM_B = "Dem_B"
@@ -221,9 +220,7 @@ def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
     pairs, its output-monitor coincidence rate over ``2 * r**2 * (1 - r**2)``.
     This is the exact reference a simulated power is checked against.
     """
-    pairs = Normalization(normalization) is Normalization.PAIRS
-    if pairs and spec.kind not in PAIR_KINDS:
-        raise ValueError(f"pair normalization is undefined for {spec.kind.value}")
+    pairs = as_normalization(spec, normalization) is Normalization.PAIRS
     r = as_amplitude(r)
     r2 = r * r
     joint = _click_table(spec, r, eps2)

@@ -8,10 +8,10 @@ and ``In_B``:
   balanced splitter, so each output still shows thermal counting statistics
   with mean ``nbar`` but the two arms share every fluctuation.
 * ``CORRELATED``: the two-photon truncation of a down-conversion pair
-  source, weights proportional to ``{(0,0): 1, (1,1): s**2}``.
+  source, weights proportional to ``{(0,0): 1, (1,1): s2}``.
 * ``ANTI_CORRELATED``: pairs bunched by two-photon interference, weights
-  proportional to ``{(0,0): 1, (2,0): s**2 v2 / 2, (0,2): s**2 v2 / 2,
-  (1,1): s**2 (1 - v2)}``.  Perfect visibility ``v2 = 1`` removes the
+  proportional to ``{(0,0): 1, (2,0): s2 v2 / 2, (0,2): s2 v2 / 2,
+  (1,1): s2 (1 - v2)}``.  Perfect visibility ``v2 = 1`` removes the
   ``(1,1)`` leakage entirely.
 
 ``drop_vacuum`` post-selects the pair sources on an emission actually
@@ -47,20 +47,38 @@ PAIR_KINDS = frozenset({SourceKind.CORRELATED, SourceKind.ANTI_CORRELATED})
 THERMAL_KINDS = frozenset({SourceKind.UNCORRELATED, SourceKind.SPLIT_THERMAL})
 
 
+#: Each kind's parameters, in the spelling users give.
+PARAMETERS = {
+    SourceKind.UNCORRELATED: ("nbar",),
+    SourceKind.SPLIT_THERMAL: ("nbar",),
+    SourceKind.CORRELATED: ("s2",),
+    SourceKind.ANTI_CORRELATED: ("s2", "v2"),
+}
+
+
+def _as_s2(value) -> float:
+    s2 = float(value)
+    if s2 < 0 or not math.isfinite(s2):
+        raise ValueError(f"s2 must be finite and >= 0, got {s2!r}")
+    return s2
+
+
+_COERCE = {"nbar": as_nbar, "s2": _as_s2, "v2": as_visibility}
+
+
 @dataclass(frozen=True)
 class SourceSpec:
-    """Parameters of one bath.
+    """Parameters of one bath; ``PARAMETERS`` names those each kind takes.
 
-    ``nbar`` is required for the thermal kinds, ``s`` for the pair kinds,
-    ``v2`` only for ``ANTI_CORRELATED``.  ``drop_vacuum`` is only valid for
-    the pair kinds.  ``include_one_photon_term`` adds an incoherent
-    single-photon component to ``ANTI_CORRELATED``; it exists so the oracle
-    can confirm that component contributes no demon power.
+    ``drop_vacuum`` is only valid for the pair kinds.
+    ``include_one_photon_term`` adds an incoherent single-photon component
+    to ``ANTI_CORRELATED``; it exists so the oracle can confirm that
+    component contributes no demon power.
     """
 
     kind: SourceKind
     nbar: float | None = None
-    s: float | None = None
+    s2: float | None = None
     v2: float | None = None
     drop_vacuum: bool = False
     include_one_photon_term: bool = False
@@ -68,34 +86,19 @@ class SourceSpec:
     def __post_init__(self) -> None:
         kind = SourceKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if kind in THERMAL_KINDS:
-            if self.nbar is None:
-                raise ValueError(f"{kind.value} requires nbar")
-            if self.s is not None or self.v2 is not None:
-                raise ValueError(f"{kind.value} takes no s or v2")
-            if self.drop_vacuum:
-                raise ValueError("drop_vacuum applies to pair sources only")
-            if self.include_one_photon_term:
-                raise ValueError("one-photon term applies to anti_correlated only")
-            object.__setattr__(self, "nbar", as_nbar(self.nbar))
-        else:
-            if self.s is None:
-                raise ValueError(f"{kind.value} requires s")
-            if self.nbar is not None:
-                raise ValueError(f"{kind.value} takes no nbar")
-            s = float(self.s)
-            if s < 0 or not math.isfinite(s):
-                raise ValueError(f"s must be finite and >= 0, got {s!r}")
-            object.__setattr__(self, "s", s)
-            if kind is SourceKind.CORRELATED:
-                if self.v2 is not None:
-                    raise ValueError("correlated takes no v2")
-                if self.include_one_photon_term:
-                    raise ValueError("one-photon term applies to anti_correlated only")
+        for name, coerce in _COERCE.items():
+            value = getattr(self, name)
+            if name not in PARAMETERS[kind]:
+                if value is not None:
+                    raise ValueError(f"{name} is not a parameter of {kind.value}")
+            elif value is None:
+                raise ValueError(f"{kind.value} requires {name}")
             else:
-                if self.v2 is None:
-                    raise ValueError("anti_correlated requires v2")
-                object.__setattr__(self, "v2", as_visibility(self.v2))
+                object.__setattr__(self, name, coerce(value))
+        if self.drop_vacuum and kind not in PAIR_KINDS:
+            raise ValueError("drop_vacuum applies to pair sources only")
+        if self.include_one_photon_term and kind is not SourceKind.ANTI_CORRELATED:
+            raise ValueError("one-photon term applies to anti_correlated only")
 
     @classmethod
     def uncorrelated(cls, nbar: float) -> "SourceSpec":
@@ -107,36 +110,24 @@ class SourceSpec:
         return cls(SourceKind.SPLIT_THERMAL, nbar=nbar)
 
     @classmethod
-    def correlated(cls, s: float | None = None, *, s2: float | None = None,
-                   drop_vacuum: bool = False) -> "SourceSpec":
-        if (s is None) == (s2 is None):
-            raise ValueError("give exactly one of s or s2")
-        if s is None:
-            s = math.sqrt(s2)
-        return cls(SourceKind.CORRELATED, s=s, drop_vacuum=drop_vacuum)
+    def correlated(cls, s2: float, *, drop_vacuum: bool = False) -> "SourceSpec":
+        return cls(SourceKind.CORRELATED, s2=s2, drop_vacuum=drop_vacuum)
 
     @classmethod
-    def anti_correlated(cls, s: float | None = None, *, s2: float | None = None,
-                        v2: float, drop_vacuum: bool = False,
+    def anti_correlated(cls, s2: float, v2: float, *, drop_vacuum: bool = False,
                         include_one_photon_term: bool = False) -> "SourceSpec":
-        if (s is None) == (s2 is None):
-            raise ValueError("give exactly one of s or s2")
-        if s is None:
-            s = math.sqrt(s2)
-        return cls(SourceKind.ANTI_CORRELATED, s=s, v2=v2, drop_vacuum=drop_vacuum,
+        return cls(SourceKind.ANTI_CORRELATED, s2=s2, v2=v2, drop_vacuum=drop_vacuum,
                    include_one_photon_term=include_one_photon_term)
 
-    def with_drop_vacuum(self, flag: bool = True) -> "SourceSpec":
-        if self.kind in THERMAL_KINDS:
-            raise ValueError("drop_vacuum applies to pair sources only")
-        return replace(self, drop_vacuum=flag)
+    def with_drop_vacuum(self) -> "SourceSpec":
+        return replace(self, drop_vacuum=True)
 
 
 def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
-    # Every non-vacuum entry carries one overall factor of s**2, so the
-    # post-selected ratios are independent of s.  Strip that factor when the
-    # vacuum is dropped; s = 0 then still has a well-defined limit.
-    scale = 1.0 if spec.drop_vacuum else spec.s * spec.s
+    # Every non-vacuum entry carries one overall factor of s2, so the
+    # post-selected ratios are independent of s2.  Strip that factor when the
+    # vacuum is dropped; s2 = 0 then still has a well-defined limit.
+    scale = 1.0 if spec.drop_vacuum else spec.s2
     if spec.kind is SourceKind.CORRELATED:
         raw = {(1, 1): scale}
     else:
@@ -148,7 +139,7 @@ def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
         }
         if spec.include_one_photon_term:
             # Any weight here leaves the demon power unchanged; the oracle
-            # checks exactly that, so the choice is free.  Use total s**2.
+            # checks exactly that, so the choice is free.  Use total s2.
             raw[(1, 0)] = scale / 2.0
             raw[(0, 1)] = scale / 2.0
     if not spec.drop_vacuum:

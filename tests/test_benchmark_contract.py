@@ -1,0 +1,76 @@
+"""The names the frozen benchmark in ``perfbench/`` reaches into the package by.
+
+``perfbench/`` is not edited alongside the package, so a rename or a
+signature change there breaks the benchmark silently unless it is caught
+here.  ``perfbench/tracing.py`` is loaded by path: it is not a package.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import math
+from pathlib import Path
+
+import pytest
+
+from demonlab import harness, montecarlo
+from demonlab.harness import _parse_source
+from demonlab.information import mutual_information
+from demonlab.sources import SourceSpec
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _resolve(module: str, name: str):
+    return getattr(importlib.import_module(f"demonlab.{module}"), name)
+
+
+@pytest.mark.parametrize("module, name", _tracing().TARGETS)
+def test_every_traced_target_resolves(module, name):
+    assert callable(_resolve(module, name))
+
+
+@pytest.mark.parametrize("module, name", [
+    ("protocol", "propagate"), ("protocol", "detector_probs"),
+    ("protocol", "ALL_CROSS"), ("protocol", "canonical_policy"),
+    ("oracle", "enumerate_outcomes"), ("oracle", "compare"),
+    ("information", "mutual_information"), ("harness", "measure_power"),
+    ("fock", "LowPhotonRegimeWarning"), ("fock", "loss_channel"),
+    ("fock", "beamsplitter_split"),
+])
+def test_names_the_benchmark_uses_resolve(module, name):
+    _resolve(module, name)
+
+
+def test_keyword_arguments_the_benchmark_passes():
+    assert "cutoff" in inspect.signature(mutual_information).parameters
+    assert {"model", "tau_c"} <= set(inspect.signature(montecarlo.estimate_g2).parameters)
+    config = montecarlo.RunConfig(spec=SourceSpec.uncorrelated(0.05), r=math.sqrt(0.5),
+                                  eps2=1.0, slots=10, seed=1, arm_efficiency=(1.0, 0.9))
+    assert config.arm_efficiency == (1.0, 0.9)
+
+
+def test_run_sweep_calls_the_harness_global_measure_power():
+    # the benchmark times each cell by rebinding this module global
+    assert harness.measure_power is montecarlo.measure_power
+    assert "measure_power" in harness.run_sweep.__code__.co_names
+
+
+@pytest.mark.parametrize("entry, spec", [
+    ({"kind": "correlated", "s2": 0.01}, SourceSpec.correlated(s2=0.01)),
+    ({"kind": "anti_correlated", "s2": 0.01, "v2": 0.87},
+     SourceSpec.anti_correlated(s2=0.01, v2=0.87)),
+])
+def test_parsed_sources_match_built_specs(entry, spec):
+    # the tracer picks out fig4a's runs by (spec, eps2) set membership
+    parsed = _parse_source(entry, "source").spec
+    assert parsed == spec
+    assert hash(parsed) == hash(spec)

@@ -97,6 +97,9 @@ _ARGUMENT_ERRORS = [
     (["mc", "--kind", "correlated", "--s2", "0.01", "--v2", "0.87"], "v2"),
     (["mc", "--kind", "split-thermal"], "nbar"),
     (["mc", "--kind", "uncorrelated", "--nbar", "0.05", "--s2", "0.01"], "s2"),
+    # a negative pair strength is refused by name, not by math.sqrt
+    (["mc", "--kind", "correlated", "--s2", "-0.01"], "s2"),
+    (["mc", "--kind", "anti-correlated", "--s2", "nan", "--v2", "0.87"], "s2"),
     (["info", "--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87",
       "--nbar", "0.05"], "nbar"),
     # a power measurement runs its own legs; these flags would be ignored

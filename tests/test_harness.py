@@ -85,6 +85,10 @@ def test_parse_errors_carry_field_paths():
         # post-selection is an analytics device of the pair specs, not a config field
         (_minimal(sources=[{"name": "c", "kind": "correlated", "s2": 0.01,
                             "drop_vacuum": True}]), "drop_vacuum"),
+        (_minimal(sources=[{"name": "c", "kind": "correlated", "s2": -0.01}]),
+         "config.sources[0]: s2"),
+        (_minimal(sources=[{"name": "u", "kind": "uncorrelated", "nbar": 0.05,
+                            "eps2": 1.5}]), "config.sources[0].eps2"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError) as err:

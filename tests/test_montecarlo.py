@@ -9,6 +9,7 @@ import pytest
 
 from demonlab.montecarlo import (
     BLOCK,
+    MAX_THERMAL_NBAR,
     MIN_G2_SLOTS,
     PowerMeasurement,
     RunConfig,
@@ -57,6 +58,25 @@ def test_config_validation():
     with pytest.raises(ValueError, match="feed-forward"):
         _cfg(mode="cross", policy=TABLE_PAIR)
     assert _cfg(mode="bar").mode is RunMode.BAR
+
+
+def test_config_refuses_thermal_baths_beyond_the_table_bound():
+    # constructing the config is enough: it must refuse before any run
+    for make in (SourceSpec.uncorrelated, SourceSpec.split_thermal):
+        for nbar in (1e9, 1e7, MAX_THERMAL_NBAR * 1.001):
+            with pytest.raises(ValueError, match="nbar"):
+                _cfg(spec=make(nbar))
+        assert _cfg(spec=make(MAX_THERMAL_NBAR)).spec.nbar == MAX_THERMAL_NBAR
+
+
+def test_bright_run_at_the_bound_stays_small():
+    tracemalloc.start()
+    try:
+        run(_cfg(spec=SourceSpec.uncorrelated(MAX_THERMAL_NBAR), slots=BLOCK))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6  # about 10 MB: the table is about BLOCK rows
 
 
 def test_identical_configs_reproduce_bit_for_bit():

@@ -9,6 +9,7 @@ from demonlab.sources import (
     IN_A,
     IN_B,
     PAIR_KINDS,
+    PARAMETERS,
     THERMAL_KINDS,
     SourceKind,
     SourceSpec,
@@ -28,29 +29,38 @@ def test_source_spec_validation_per_kind():
     with pytest.raises(ValueError):
         SourceSpec(SourceKind.UNCORRELATED)  # nbar missing
     with pytest.raises(ValueError):
-        SourceSpec(SourceKind.UNCORRELATED, nbar=0.05, s=0.1)
+        SourceSpec(SourceKind.UNCORRELATED, nbar=0.05, s2=0.01)
     with pytest.raises(ValueError):
-        SourceSpec(SourceKind.CORRELATED, s=0.1, nbar=0.05)
+        SourceSpec(SourceKind.CORRELATED, s2=0.01, nbar=0.05)
     with pytest.raises(ValueError):
-        SourceSpec(SourceKind.CORRELATED, s=0.1, v2=0.9)
+        SourceSpec(SourceKind.CORRELATED, s2=0.01, v2=0.9)
     with pytest.raises(ValueError):
-        SourceSpec(SourceKind.ANTI_CORRELATED, s=0.1)  # v2 missing
+        SourceSpec(SourceKind.ANTI_CORRELATED, s2=0.01)  # v2 missing
     with pytest.raises(ValueError):
         SourceSpec.uncorrelated(0.05).with_drop_vacuum()
     with pytest.raises(ValueError):
         SourceSpec(SourceKind.UNCORRELATED, nbar=0.05, drop_vacuum=True)
     with pytest.raises(ValueError):
-        SourceSpec(SourceKind.CORRELATED, s=0.1, include_one_photon_term=True)
+        SourceSpec(SourceKind.CORRELATED, s2=0.01, include_one_photon_term=True)
 
 
-def test_source_spec_s_and_s2_are_exclusive():
-    with pytest.raises(ValueError):
-        SourceSpec.correlated(0.1, s2=0.01)
-    with pytest.raises(ValueError):
-        SourceSpec.correlated()
-    a = SourceSpec.correlated(s2=0.01)
-    b = SourceSpec.correlated(0.1)
-    assert abs(a.s - b.s) < 1e-15
+def test_source_spec_keeps_s2_as_given():
+    assert SourceSpec.correlated(s2=0.01).s2 == 0.01
+    assert SourceSpec.anti_correlated(s2=0.01, v2=0.87).s2 == 0.01
+    for bad in (-0.01, math.nan, math.inf):
+        with pytest.raises(ValueError, match="s2 must be finite"):
+            SourceSpec.correlated(s2=bad)
+
+
+def test_parameters_table_names_each_kinds_fields():
+    assert set(PARAMETERS) == set(SourceKind)
+    values = {"nbar": 0.05, "s2": 0.01, "v2": 0.87}
+    for kind, names in PARAMETERS.items():
+        spec = SourceSpec(kind, **{name: values[name] for name in names})
+        assert all(getattr(spec, name) == values[name] for name in names)
+        for name in set(values) - set(names):
+            with pytest.raises(ValueError, match=f"{name} is not a parameter"):
+                SourceSpec(kind, **{n: values[n] for n in (*names, name)})
 
 
 def test_correlated_weights():
