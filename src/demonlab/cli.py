@@ -27,19 +27,18 @@ from .montecarlo import (RunConfig, RunMode, estimate_g2,
 from .sources import SourceKind, SourceSpec
 
 
-def _resolve_seed(cli_seed, config_seed=None, default=1) -> int:
-    if cli_seed is not None:
-        return cli_seed
+def _resolve_seed(cli_seed, config_seed=None) -> int:
     env = os.environ.get("DEMONLAB_SEED")
-    if env is not None:
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ConfigError(f"DEMONLAB_SEED: not an integer: {env!r}") from None
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError("DEMONLAB_SEED: must be a 64-bit unsigned integer")
-        return seed
-    return config_seed if config_seed is not None else default
+    if cli_seed is None and env is None:
+        return 1 if config_seed is None else config_seed
+    source, seed = ("--seed", cli_seed) if cli_seed is not None else ("DEMONLAB_SEED", env)
+    try:
+        seed = int(seed)
+    except ValueError:
+        raise ConfigError(f"{source}: not an integer: {seed!r}") from None
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{source}: must be a 64-bit unsigned integer")
+    return seed
 
 
 def _spec_from_args(args) -> SourceSpec:

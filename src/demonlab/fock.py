@@ -7,11 +7,11 @@ plain probability table truncated at a total photon number is an exact
 representation of the states we care about, with the truncated tail
 tracked explicitly as ``lost_mass``.
 
-Two channels act on such tables: a tap beamsplitter that routes each
-photon independently into a new mode with probability ``r**2``, and a loss
-channel (binomial thinning with survival ``eps2``) that either discards the
-lost photons or parks them in an explicit loss mode.  The demon pipeline
-itself uses the per-arm kernel ``protocol.arm_kernel``.
+Two channels act on such tables, both binomial thinning by one loop: a tap
+beamsplitter that routes each photon independently into a new mode with
+probability ``r**2``, and a loss channel (survival ``eps2``) that either
+discards the lost photons or parks them in an explicit loss mode.  The demon
+pipeline itself uses the per-arm kernel ``protocol.arm_kernel``.
 """
 from __future__ import annotations
 
@@ -40,12 +40,17 @@ def _check_unit_interval(name: str, value: float) -> float:
     return value
 
 
+def as_nonnegative(name: str, value) -> float:
+    """Validate a finite, non-negative parameter called ``name`` in errors."""
+    value = float(value)
+    if value < 0 or not math.isfinite(value):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def as_nbar(value) -> float:
     """Validate a mean photon number."""
-    nbar = float(value)
-    if nbar < 0 or not math.isfinite(nbar):
-        raise ValueError(f"mean photon number must be finite and >= 0, got {nbar!r}")
-    return nbar
+    return as_nonnegative("mean photon number", value)
 
 
 def as_amplitude(value) -> float:
@@ -159,32 +164,36 @@ def single_mode_thermal(nbar, cutoff: int = DEFAULT_CUTOFF,
     return JointOccupationDistribution.from_single_mode(label, pmf, cutoff, tail)
 
 
-def beamsplitter_split(dist: JointOccupationDistribution, mode: str, r,
-                       new_mode: str) -> JointOccupationDistribution:
-    """Route each photon of ``mode`` into ``new_mode`` with probability ``r**2``.
+def _thin(dist: JointOccupationDistribution, mode: str, stay: float, leave: float,
+          new_mode: str | None) -> JointOccupationDistribution:
+    """Binomial thinning of ``mode``: each photon stays with chance ``stay``.
 
-    n photons split binomially: k stay with weight
-    ``C(n, k) * (1 - r**2)**k * (r**2)**(n - k)`` and ``n - k`` land in the
-    appended ``new_mode``.  Total photon number is conserved, so the cutoff
-    and lost_mass carry over unchanged.  ``r = 0`` is the identity up to the
-    extra empty mode.
+    n photons thin to k with weight ``C(n, k) * stay**k * leave**(n - k)``.
+    The ``n - k`` leavers land in the appended ``new_mode``, or are traced
+    out when it is None.  Either way the total cannot grow, so the cutoff
+    and lost_mass carry over unchanged.
     """
-    r = as_amplitude(r)
     if new_mode in dist.mode_labels:
         raise ValueError(f"mode {new_mode!r} already present")
+    labels = dist.mode_labels + (() if new_mode is None else (new_mode,))
     i = dist.mode_index(mode)
-    r2 = r * r
     out: dict[Occupation, float] = {}
     for occ, p in dist.entries.items():
         n = occ[i]
         for k in range(n + 1):
-            w = math.comb(n, k) * (1.0 - r2) ** k * r2 ** (n - k)
+            w = math.comb(n, k) * stay ** k * leave ** (n - k)
             if w == 0.0:
                 continue
-            key = occ[:i] + (k,) + occ[i + 1:] + (n - k,)
+            key = occ[:i] + (k,) + occ[i + 1:] + (() if new_mode is None else (n - k,))
             out[key] = out.get(key, 0.0) + p * w
-    return JointOccupationDistribution(dist.mode_labels + (new_mode,), out,
-                                       dist.cutoff, dist.lost_mass)
+    return JointOccupationDistribution(labels, out, dist.cutoff, dist.lost_mass)
+
+
+def beamsplitter_split(dist: JointOccupationDistribution, mode: str, r,
+                       new_mode: str) -> JointOccupationDistribution:
+    """Route each photon of ``mode`` into ``new_mode`` with probability ``r**2``."""
+    r = as_amplitude(r)
+    return _thin(dist, mode, 1.0 - r * r, r * r, new_mode)
 
 
 def loss_channel(dist: JointOccupationDistribution, mode: str, eps2,
@@ -192,23 +201,10 @@ def loss_channel(dist: JointOccupationDistribution, mode: str, eps2,
     """Binomial thinning of ``mode`` with survival probability ``eps2``.
 
     With ``loss_mode`` set, the lost photons are retained in that appended
-    mode (a split with ``r**2 = 1 - eps2``); otherwise they are traced out.
+    mode; otherwise they are traced out.
     """
     eps2 = as_efficiency(eps2)
-    if loss_mode is not None:
-        return beamsplitter_split(dist, mode, math.sqrt(1.0 - eps2), loss_mode)
-    i = dist.mode_index(mode)
-    out: dict[Occupation, float] = {}
-    for occ, p in dist.entries.items():
-        n = occ[i]
-        for k in range(n + 1):
-            w = math.comb(n, k) * eps2 ** k * (1.0 - eps2) ** (n - k)
-            if w == 0.0:
-                continue
-            key = occ[:i] + (k,) + occ[i + 1:]
-            out[key] = out.get(key, 0.0) + p * w
-    return JointOccupationDistribution(dist.mode_labels, out, dist.cutoff,
-                                       dist.lost_mass)
+    return _thin(dist, mode, eps2, 1.0 - eps2, loss_mode)
 
 
 def joint_detection_pmf(nbar, r, m: int, n: int) -> float:

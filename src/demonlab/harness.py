@@ -30,13 +30,11 @@ import sys
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analytics import (Normalization, as_normalization, closed_form_power,
                         peak_enhancement_ratio)
 from .fock import as_efficiency
 from .information import mutual_information
-from .montecarlo import measure_power
+from .montecarlo import _derived_seed, measure_power
 from .oracle import (compare, enumerate_outcomes, symbolic_delta_pairs,
                      symbolic_delta_uncorrelated, truncated_uncorrelated_delta)
 from .protocol import (TABLE_PAIR, TABLE_THERMAL, canonical_policy, expected_power,
@@ -256,11 +254,6 @@ class ReportRow:
         return {field: getattr(self, field) for field in REPORT_FIELDS}
 
 
-def _cell_seed(seed: int, source_index: int, grid_index: int) -> int:
-    ss = np.random.SeedSequence((seed, source_index, grid_index))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
     """Produce one report row per source per grid point.
 
@@ -286,7 +279,7 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
                             or pair_norm_defined):
                 measured = measure_power(spec, r, series.eps2,
                                          config.slots,
-                                         _cell_seed(config.seed, si, gi),
+                                         _derived_seed(config.seed, si, gi),
                                          series.normalization)
                 mc, mc_stderr = measured.value, measured.stderr
             if analytic is not None and mc is not None:

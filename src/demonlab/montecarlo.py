@@ -66,7 +66,7 @@ import numpy as np
 
 from .fock import as_amplitude, as_efficiency
 from .analytics import Normalization, as_normalization
-from .protocol import _CELLS, ALL_BAR, ALL_CROSS, Policy, _no_click_points, canonical_policy
+from .protocol import _CELLS, ALL_BAR, ALL_CROSS, _no_click_points, canonical_policy
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, _pair_weights
 
 BLOCK = 1 << 16
@@ -76,6 +76,9 @@ BLOCK = 1 << 16
 #: A thermal count exceeds ``m`` with chance about ``exp(-m / nbar)``, so the
 #: largest of a block's ``BLOCK`` counts is about ``nbar * ln(BLOCK)``; this
 #: bound keeps the table to about ``BLOCK`` rows, the size of the block.
+#: ``estimate_g2`` takes the same bound: its counts then stay near ``BLOCK``
+#: = 2**16, so a block's sum of ``BLOCK`` lagged products stays far below
+#: 2**16 * 2**32 = 2**48, and its int64 dot products cannot overflow.
 MAX_THERMAL_NBAR = BLOCK / math.log(BLOCK)
 
 #: Bisection steps ``calibrate_balance`` takes before it gives up.
@@ -85,6 +88,12 @@ BALANCE_MAX_ITERS = 40
 STREAM_VERSION = 3
 
 MIN_G2_SLOTS = 100_000
+
+
+def _check_brightness(spec: SourceSpec) -> None:
+    if spec.nbar is not None and spec.nbar > MAX_THERMAL_NBAR:
+        raise ValueError(f"nbar {spec.nbar!r} exceeds the simulation bound "
+                         f"{MAX_THERMAL_NBAR:.0f} (BLOCK / ln(BLOCK))")
 
 
 class RunMode(str, Enum):
@@ -112,15 +121,12 @@ class RunConfig:
     arm_trim: tuple[float, float] = (1.0, 1.0)
     arm_efficiency: tuple[float, float] = (1.0, 1.0)
     dead_window_slots: int = 0
-    policy: Policy | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "r", as_amplitude(self.r))
         object.__setattr__(self, "eps2", as_efficiency(self.eps2))
         object.__setattr__(self, "mode", RunMode(self.mode))
-        if self.spec.nbar is not None and self.spec.nbar > MAX_THERMAL_NBAR:
-            raise ValueError(f"nbar {self.spec.nbar!r} exceeds the event engine's bound "
-                             f"{MAX_THERMAL_NBAR:.0f} (BLOCK / ln(BLOCK))")
+        _check_brightness(self.spec)
         if self.spec.drop_vacuum:
             raise ValueError("the event stream keeps the vacuum; drop_vacuum is an "
                              "analytics device")
@@ -135,10 +141,9 @@ class RunConfig:
             object.__setattr__(self, name, pair)
         if self.dead_window_slots < 0:
             raise ValueError("dead_window_slots must be >= 0")
-        if self.mode is not RunMode.FEED_FORWARD and (
-                self.policy is not None or self.dead_window_slots):
-            raise ValueError(f"policy and dead_window_slots apply to feed-forward "
-                             f"runs, not to {self.mode.value}")
+        if self.mode is not RunMode.FEED_FORWARD and self.dead_window_slots:
+            raise ValueError(f"dead_window_slots applies to feed-forward runs, "
+                             f"not to {self.mode.value}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +270,7 @@ def run(config: RunConfig) -> RunResult:
     """Simulate one acquisition and return its tallies."""
     spec, mode = config.spec, config.mode
     policy = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
-        mode, config.policy or canonical_policy(spec.kind))
+        mode, canonical_policy(spec.kind))
     r2 = config.r * config.r
     survival_a, survival_b = (config.eps2 * trim * efficiency for trim, efficiency
                               in zip(config.arm_trim, config.arm_efficiency))
@@ -486,6 +491,7 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     """
     if spec.kind in PAIR_KINDS:
         raise ValueError("g2 characterization applies to the thermal sources")
+    _check_brightness(spec)
     if slots < MIN_G2_SLOTS:
         raise ValueError(f"need at least {MIN_G2_SLOTS} slots for a stable estimate")
     taus = [int(t) for t in tau_grid]

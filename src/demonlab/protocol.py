@@ -52,9 +52,6 @@ class ClickPattern:
     dem_a: bool
     dem_b: bool
 
-    def swapped(self) -> "ClickPattern":
-        return ClickPattern(self.dem_b, self.dem_a)
-
 
 ALL_PATTERNS = (
     ClickPattern(False, False),
@@ -84,10 +81,6 @@ class Policy:
         """``[dem_a click, dem_b click]`` -> whether the switch crosses."""
         return np.array([[self.table[ClickPattern(a, b)] is SwitchState.CROSS
                           for b in (False, True)] for a in (False, True)])
-
-    def transposed(self) -> "Policy":
-        """Mirror policy: the (click at A only) and (click at B only) rows trade places."""
-        return Policy({p: self.table[p.swapped()] for p in ALL_PATTERNS})
 
     @classmethod
     def constant(cls, state: SwitchState) -> "Policy":
@@ -225,7 +218,7 @@ def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
     r2 = r * r
     joint = _click_table(spec, r, eps2)
     bar = ~canonical_policy(spec.kind).crosses()[_MON_A, _MON_B]
-    # a swapped slot reads as in the cross run; a bar slot reads
+    # a crossed slot reads as in the cross run; a bar slot reads
     # out_a - out_b against the cross run's out_b - out_a
     imbalance = np.sum(joint * bar * 2.0 * (_OUT_A - _OUT_B))
     # pairs: every output click with every monitor click, as the engine counts

@@ -28,6 +28,7 @@ from .fock import (
     DEFAULT_CUTOFF,
     JointOccupationDistribution,
     as_nbar,
+    as_nonnegative,
     as_visibility,
     thermal_pmf,
 )
@@ -56,14 +57,8 @@ PARAMETERS = {
 }
 
 
-def _as_s2(value) -> float:
-    s2 = float(value)
-    if s2 < 0 or not math.isfinite(s2):
-        raise ValueError(f"s2 must be finite and >= 0, got {s2!r}")
-    return s2
-
-
-_COERCE = {"nbar": as_nbar, "s2": _as_s2, "v2": as_visibility}
+_COERCE = {"nbar": as_nbar, "s2": lambda value: as_nonnegative("s2", value),
+           "v2": as_visibility}
 
 
 @dataclass(frozen=True)
@@ -71,9 +66,6 @@ class SourceSpec:
     """Parameters of one bath; ``PARAMETERS`` names those each kind takes.
 
     ``drop_vacuum`` is only valid for the pair kinds.
-    ``include_one_photon_term`` adds an incoherent single-photon component
-    to ``ANTI_CORRELATED``; it exists so the oracle can confirm that
-    component contributes no demon power.
     """
 
     kind: SourceKind
@@ -81,7 +73,6 @@ class SourceSpec:
     s2: float | None = None
     v2: float | None = None
     drop_vacuum: bool = False
-    include_one_photon_term: bool = False
 
     def __post_init__(self) -> None:
         kind = SourceKind(self.kind)
@@ -97,8 +88,6 @@ class SourceSpec:
                 object.__setattr__(self, name, coerce(value))
         if self.drop_vacuum and kind not in PAIR_KINDS:
             raise ValueError("drop_vacuum applies to pair sources only")
-        if self.include_one_photon_term and kind is not SourceKind.ANTI_CORRELATED:
-            raise ValueError("one-photon term applies to anti_correlated only")
 
     @classmethod
     def uncorrelated(cls, nbar: float) -> "SourceSpec":
@@ -114,10 +103,9 @@ class SourceSpec:
         return cls(SourceKind.CORRELATED, s2=s2, drop_vacuum=drop_vacuum)
 
     @classmethod
-    def anti_correlated(cls, s2: float, v2: float, *, drop_vacuum: bool = False,
-                        include_one_photon_term: bool = False) -> "SourceSpec":
-        return cls(SourceKind.ANTI_CORRELATED, s2=s2, v2=v2, drop_vacuum=drop_vacuum,
-                   include_one_photon_term=include_one_photon_term)
+    def anti_correlated(cls, s2: float, v2: float, *,
+                        drop_vacuum: bool = False) -> "SourceSpec":
+        return cls(SourceKind.ANTI_CORRELATED, s2=s2, v2=v2, drop_vacuum=drop_vacuum)
 
     def with_drop_vacuum(self) -> "SourceSpec":
         return replace(self, drop_vacuum=True)
@@ -137,11 +125,6 @@ def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
             (0, 2): scale * v2 / 2.0,
             (1, 1): scale * (1.0 - v2),
         }
-        if spec.include_one_photon_term:
-            # Any weight here leaves the demon power unchanged; the oracle
-            # checks exactly that, so the choice is free.  Use total s2.
-            raw[(1, 0)] = scale / 2.0
-            raw[(0, 1)] = scale / 2.0
     if not spec.drop_vacuum:
         raw[(0, 0)] = 1.0
     total = math.fsum(raw.values())

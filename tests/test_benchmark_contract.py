@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,27 @@ def test_keyword_arguments_the_benchmark_passes():
     config = montecarlo.RunConfig(spec=SourceSpec.uncorrelated(0.05), r=math.sqrt(0.5),
                                   eps2=1.0, slots=10, seed=1, arm_efficiency=(1.0, 0.9))
     assert config.arm_efficiency == (1.0, 0.9)
+
+
+def test_run_config_fields_the_benchmark_replaces():
+    # workloads.py replaces mode and dead_window_slots; tracing._run_kind reads both
+    config = montecarlo.RunConfig(spec=SourceSpec.uncorrelated(0.05), r=math.sqrt(0.5),
+                                  eps2=1.0, slots=10, seed=1)
+    for mode in montecarlo.RunMode:
+        assert replace(config, mode=mode).mode.value == mode.value
+    assert _tracing()._run_kind(replace(config, dead_window_slots=5)) == "dead_window"
+
+
+@pytest.mark.parametrize("spec, kind, fields", [
+    (SourceSpec.uncorrelated(0.05), "uncorrelated", {"nbar": 0.05}),
+    (SourceSpec.split_thermal(0.05), "split_thermal", {"nbar": 0.05}),
+    (SourceSpec.correlated(s2=0.01), "correlated", {"s2": 0.01}),
+    (SourceSpec.anti_correlated(s2=0.01, v2=0.87), "anti_correlated",
+     {"s2": 0.01, "v2": 0.87}),
+])
+def test_source_constructors_the_benchmark_calls(spec, kind, fields):
+    # workloads._spec builds every bath by one of these four calls
+    assert spec == SourceSpec(kind, **fields)
 
 
 def test_run_sweep_calls_the_harness_global_measure_power():

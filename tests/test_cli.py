@@ -119,6 +119,11 @@ _ARGUMENT_ERRORS = [
     # an explicit truncation beyond it would run for hours
     (["info", "--kind", "uncorrelated", "--nbar", "0.05", "--cutoff", "65"], "cutoff"),
     (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
+    # the flag is range-checked like DEMONLAB_SEED, before anything runs
+    (["sweep", "--preset", "fig4a", "--seed", "-1"], "--seed"),
+    (["g2", "--nbar", "0.5", "--seed", "18446744073709551616"], "--seed"),
+    # brighter baths would overflow the int64 lag sums
+    (["g2", "--nbar", "1e8", "--slots", "100000", "--taus", "0,5"], "nbar"),
     # a memory kernel longer than the stream is refused before it is built
     (["g2", "--nbar", "0.5", "--model", "gaussian-memory", "--tau-c", "1e9",
       "--slots", "100000"], "tau_c"),

@@ -23,8 +23,8 @@ from demonlab.montecarlo import (
     run,
 )
 from demonlab.analytics import Normalization
-from demonlab.protocol import TABLE_PAIR, TABLE_THERMAL
-from demonlab.sources import SourceSpec
+from demonlab.protocol import TABLE_PAIR, TABLE_THERMAL, detector_probs, propagate
+from demonlab.sources import SourceSpec, make_source
 
 CORR = SourceSpec.correlated(s2=0.01)
 UNCORR = SourceSpec.uncorrelated(0.05)
@@ -52,11 +52,9 @@ def test_config_validation():
         _cfg(arm_efficiency=(0.5, -0.1))
     with pytest.raises(ValueError):
         _cfg(dead_window_slots=-1)
-    # bar and cross runs have no switch to freeze or to program
+    # bar and cross runs have no switch to freeze
     with pytest.raises(ValueError, match="feed-forward"):
         _cfg(mode="bar", dead_window_slots=5)
-    with pytest.raises(ValueError, match="feed-forward"):
-        _cfg(mode="cross", policy=TABLE_PAIR)
     assert _cfg(mode="bar").mode is RunMode.BAR
 
 
@@ -147,10 +145,11 @@ def test_stderr_tracks_observed_scatter():
 
 
 def test_policy_override_changes_routing():
-    table_a = run(_cfg(spec=CORR, slots=200_000, seed=31, policy=TABLE_PAIR))
-    table_b = run(_cfg(spec=CORR, slots=200_000, seed=31, policy=TABLE_THERMAL))
+    source = make_source(CORR)
+    p_a, p_b = detector_probs(propagate(source, math.sqrt(0.5), 1.0, TABLE_PAIR))
+    q_a, q_b = detector_probs(propagate(source, math.sqrt(0.5), 1.0, TABLE_THERMAL))
     # the pair table harvests the heralds, the thermal table inverts them
-    assert table_a.delta_n > 0 > table_b.delta_n
+    assert p_a > p_b and q_a < q_b
 
 
 def test_correlated_power_estimate_matches_quadratic_law():
@@ -245,6 +244,16 @@ def test_g2_input_validation():
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1), tau_c=3.0)  # iid has none
     with pytest.raises(ValueError):
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1), model="bogus")
+
+
+def test_g2_refuses_baths_beyond_the_bound():
+    # brighter counts would overflow the int64 lag sums; refused before any draw
+    with pytest.raises(ValueError, match="nbar"):
+        estimate_g2(SourceSpec.uncorrelated(1e8), 10 ** 15, seed=1, tau_grid=(0, 5))
+    samples = dict(estimate_g2(SourceSpec.uncorrelated(MAX_THERMAL_NBAR), MIN_G2_SLOTS,
+                               seed=1, tau_grid=(0, 5)))
+    assert abs(samples[0] - 2.0) < 0.1
+    assert abs(samples[5] - 1.0) < 0.05
 
 
 def test_g2_gaussian_memory_decays_on_the_set_scale():

@@ -27,9 +27,10 @@ from demonlab.protocol import (
     TABLE_THERMAL,
     DemonOutcome,
     canonical_policy,
+    detector_probs,
     propagate,
 )
-from demonlab.sources import SourceSpec, make_source
+from demonlab.sources import IN_A, IN_B, SourceSpec, make_source
 
 ALL_SPECS = (
     SourceSpec.uncorrelated(0.05),
@@ -154,13 +155,16 @@ def test_symbolic_anti_pairs_and_visibility_null():
 def test_lone_photon_component_only_dilutes_the_pairs():
     """Adding an incoherent single-photon part rescales the pair weight and
     contributes nothing else to the imbalance."""
-    spec = SourceSpec.anti_correlated(s2=0.01, v2=0.87, drop_vacuum=True,
-                                      include_one_photon_term=True)
+    v2 = 0.87
+    # half the slots carry a bunched pair, half one photon in either arm
+    mixed = JointOccupationDistribution((IN_A, IN_B), {
+        (2, 0): v2 / 4, (0, 2): v2 / 4, (1, 1): (1 - v2) / 2,
+        (1, 0): 0.25, (0, 1): 0.25}, cutoff=4)
     for r2 in (0.1, 0.3, 0.5):
         r = math.sqrt(r2)
-        report = enumerate_outcomes(spec, r, 0.8, TABLE_THERMAL)
-        want = symbolic_delta_pairs(0.5, r, 0.8, visibility_factor=2 * 0.87 - 1)
-        assert abs(report.delta - want) < 1e-12
+        p_a, p_b = detector_probs(propagate(mixed, r, 0.8, TABLE_THERMAL))
+        want = symbolic_delta_pairs(0.5, r, 0.8, visibility_factor=2 * v2 - 1)
+        assert abs((p_a - p_b) - want) < 1e-12
 
 
 def test_clicks_vs_kept_joint_reproduces_information_module():

@@ -40,8 +40,6 @@ def test_source_spec_validation_per_kind():
         SourceSpec.uncorrelated(0.05).with_drop_vacuum()
     with pytest.raises(ValueError):
         SourceSpec(SourceKind.UNCORRELATED, nbar=0.05, drop_vacuum=True)
-    with pytest.raises(ValueError):
-        SourceSpec(SourceKind.CORRELATED, s2=0.01, include_one_photon_term=True)
 
 
 def test_source_spec_keeps_s2_as_given():
@@ -90,13 +88,6 @@ def test_anti_correlated_weights():
 def test_anti_correlated_perfect_visibility_has_no_coincidence_pair():
     w = _pair_weights(SourceSpec.anti_correlated(s2=0.01, v2=1.0, drop_vacuum=True))
     assert w == {(2, 0): 0.5, (0, 2): 0.5}
-
-
-def test_one_photon_term_adds_single_photon_entries():
-    spec = SourceSpec.anti_correlated(s2=0.01, v2=0.87, include_one_photon_term=True)
-    w = _pair_weights(spec)
-    assert (1, 0) in w and (0, 1) in w
-    assert abs(w[(1, 0)] - w[(0, 1)]) < 1e-18
 
 
 def test_make_source_uncorrelated_is_product_of_thermals():
