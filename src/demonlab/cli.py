@@ -121,8 +121,11 @@ def _emit(payload: str, path) -> None:
     if path is None:
         sys.stdout.write(payload)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(payload)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: {exc.strerror or exc}") from None
 
 
 def _cmd_sweep(args) -> int:

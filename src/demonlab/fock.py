@@ -123,12 +123,6 @@ class JointOccupationDistribution:
         labels = tuple(mode_labels)
         return cls(labels, {(0,) * len(labels): 1.0}, cutoff)
 
-    @classmethod
-    def from_single_mode(cls, label: str, pmf: Mapping[int, float], cutoff: int,
-                         lost_mass: float = 0.0):
-        entries = {(n,): p for n, p in pmf.items() if n <= cutoff}
-        return cls((label,), entries, cutoff, lost_mass)
-
     def mode_index(self, label: str) -> int:
         try:
             return self.mode_labels.index(label)
@@ -159,9 +153,9 @@ def single_mode_thermal(nbar, cutoff: int = DEFAULT_CUTOFF,
                         label: str = "In_A") -> JointOccupationDistribution:
     """Truncated thermal state; the geometric tail is kept as lost_mass."""
     nbar = as_nbar(nbar)
-    pmf = {n: thermal_pmf(nbar, n) for n in range(cutoff + 1)}
+    entries = {(n,): thermal_pmf(nbar, n) for n in range(cutoff + 1)}
     tail = (nbar / (1.0 + nbar)) ** (cutoff + 1)
-    return JointOccupationDistribution.from_single_mode(label, pmf, cutoff, tail)
+    return JointOccupationDistribution((label,), entries, cutoff, tail)
 
 
 def _thin(dist: JointOccupationDistribution, mode: str, stay: float, leave: float,

@@ -277,10 +277,10 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
             pair_norm_defined = 0.0 < r2 < 1.0
             if want_mc and (series.normalization is Normalization.SINGLES
                             or pair_norm_defined):
-                measured = measure_power(spec, r, series.eps2,
-                                         config.slots,
-                                         _derived_seed(config.seed, si, gi),
-                                         series.normalization)
+                measured = _checked(f"config.sources[{si}] at r2={r2:g}", measure_power,
+                                    spec, r, series.eps2, config.slots,
+                                    _derived_seed(config.seed, si, gi),
+                                    series.normalization)
                 mc, mc_stderr = measured.value, measured.stderr
             if analytic is not None and mc is not None:
                 compared.append((series.name, r2, mc, analytic, mc_stderr))

@@ -9,7 +9,7 @@ vacuum.
 
 The detectors only click, so an occupied arm is drawn straight into one of
 four cells, ``2 * (output click) + (monitor click)``.  Each of its ``n``
-photons is lost (upstream loss, arm efficiency and balancing trim), tapped
+photons is lost (upstream loss or the arm's transmission), tapped
 onto the arm's monitor detector, or kept for the switch.  With survival
 ``s``, the chance that none reaches the monitor, the output, or either is
 ``(1 - u)**n`` at ``u = s * r**2``, ``s * (1 - r**2)`` and ``s``
@@ -106,10 +106,11 @@ class RunMode(str, Enum):
 class RunConfig:
     """One simulated acquisition.
 
-    ``r`` is the tap amplitude.  ``arm_trim`` is the balancing attenuation
-    the operator dials in; ``arm_efficiency`` models fixed plant asymmetry
-    between the arms (both default to transparent).  ``dead_window_slots``
-    freezes the switch for that many slots after a monitor click.
+    ``r`` is the tap amplitude.  ``arm_efficiency`` is each arm's
+    transmission after the tap: fixed plant asymmetry times any balancing
+    trim (``calibrate_balance``'s trims multiply into it; default
+    transparent).  ``dead_window_slots`` freezes the switch for that many
+    slots after a monitor click.
     """
 
     spec: SourceSpec
@@ -118,7 +119,6 @@ class RunConfig:
     slots: int
     seed: int
     mode: RunMode = RunMode.FEED_FORWARD
-    arm_trim: tuple[float, float] = (1.0, 1.0)
     arm_efficiency: tuple[float, float] = (1.0, 1.0)
     dead_window_slots: int = 0
 
@@ -134,11 +134,10 @@ class RunConfig:
             raise ValueError("slots must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        for name in ("arm_trim", "arm_efficiency"):
-            pair = tuple(float(x) for x in getattr(self, name))
-            if len(pair) != 2 or not all(0.0 <= x <= 1.0 for x in pair):
-                raise ValueError(f"{name} must be two values in [0, 1]")
-            object.__setattr__(self, name, pair)
+        pair = tuple(float(x) for x in self.arm_efficiency)
+        if len(pair) != 2 or not all(0.0 <= x <= 1.0 for x in pair):
+            raise ValueError("arm_efficiency must be two values in [0, 1]")
+        object.__setattr__(self, "arm_efficiency", pair)
         if self.dead_window_slots < 0:
             raise ValueError("dead_window_slots must be >= 0")
         if self.mode is not RunMode.FEED_FORWARD and self.dead_window_slots:
@@ -272,8 +271,7 @@ def run(config: RunConfig) -> RunResult:
     policy = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
         mode, canonical_policy(spec.kind))
     r2 = config.r * config.r
-    survival_a, survival_b = (config.eps2 * trim * efficiency for trim, efficiency
-                              in zip(config.arm_trim, config.arm_efficiency))
+    survival_a, survival_b = (config.eps2 * e for e in config.arm_efficiency)
     swap_table = policy.crosses()
     p_vac, draw_occupied = _occupied_sampler(spec)
     window = config.dead_window_slots
@@ -368,12 +366,14 @@ def calibrate_balance(config: RunConfig) -> tuple[float, float]:
     Runs bar-mode acquisitions, attenuating the brighter arm by bisection
     until the click imbalance is within three standard errors of zero.
     The trims cannot amplify, so an imbalance beyond 10x is rejected.
+    Apply them by multiplying them into ``arm_efficiency``.
     """
+    eff_a, eff_b = config.arm_efficiency
+
     def bar_run(trim_a: float, trim_b: float, i: int) -> RunResult:
         cfg = RunConfig(spec=config.spec, r=config.r, eps2=config.eps2,
                         slots=config.slots, seed=_derived_seed(config.seed, 100, i),
-                        mode=RunMode.BAR, arm_trim=(trim_a, trim_b),
-                        arm_efficiency=config.arm_efficiency)
+                        mode=RunMode.BAR, arm_efficiency=(trim_a * eff_a, trim_b * eff_b))
         return run(cfg)
 
     first = bar_run(1.0, 1.0, 0)
@@ -447,30 +447,6 @@ def _gaussian_memory_blocks(rng: np.random.Generator, nbar: float, slots: int,
         yield rng.poisson(re)
 
 
-def _lag_sums(carry: np.ndarray, half_1: np.ndarray, half_2: np.ndarray, taus):
-    """Lagged products of one block, and the carry for the next.
-
-    ``carry`` holds the ``half_1`` counts of the slots just before the
-    block, at most ``max(taus)`` of them.  Returns, for each ``tau``, the
-    exact integer sum of ``half_1[i] * half_2[i + tau]`` over the pairs
-    whose later slot ``i + tau`` lies in this block, and the new carry.
-    The pairs whose earlier slot lies in the carry are summed apart.
-    """
-    lead, size = carry.size, half_1.size
-    sums = []
-    for tau in taus:
-        total = int(np.dot(half_1[:size - tau], half_2[tau:])) if tau < size else 0
-        first, stop = max(tau - lead, 0), min(tau, size)  # later slots paired in the carry
-        if first < stop:
-            total += int(np.dot(carry[lead + first - tau:lead + stop - tau],
-                                half_2[first:stop]))
-        sums.append(total)
-    keep = max(taus, default=0)
-    if size >= keep:
-        return sums, half_1[size - keep:].copy()
-    return sums, np.concatenate((carry, half_1))[max(lead + size - keep, 0):]
-
-
 def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
                 model: str = "iid", tau_c: float | None = None
                 ) -> list[tuple[int, float]]:
@@ -486,8 +462,8 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     generator seeded by ``seed``: each block draws its counts (for
     ``gaussian-memory`` the white noise of its slots, then the Poisson
     counts), then the splitter's binomial on its occupied slots, and adds
-    its lagged products to integer sums.  Memory is O(BLOCK + max(tau)),
-    whatever ``slots`` is.
+    its lagged products to integer sums, one dot product per delay.  Memory
+    is O(BLOCK + max(tau)), whatever ``slots`` is.
     """
     if spec.kind in PAIR_KINDS:
         raise ValueError("g2 characterization applies to the thermal sources")
@@ -511,17 +487,23 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
 
     total_1 = total_2 = 0
     sums = [0] * len(taus)
-    carry = np.zeros(0, dtype=np.int64)
+    # half_1 of the block, after the last ``keep`` slots before it; the head
+    # starts as zeros, so slots before the stream count as empty
+    keep = max(taus, default=0)
+    lagged = np.zeros(keep + BLOCK, dtype=np.int64)
     for counts in blocks:
-        half_1 = np.zeros_like(counts)
+        size = counts.size
+        half_1 = lagged[keep:keep + size]
+        half_1[:] = 0
         occupied = np.flatnonzero(counts)
         # Binomial(0, 1/2) is 0, so drawing only the occupied slots is exact
         half_1[occupied] = rng.binomial(counts[occupied], 0.5)
         half_2 = np.subtract(counts, half_1, out=counts)
         total_1 += int(half_1.sum())
         total_2 += int(half_2.sum())
-        block_sums, carry = _lag_sums(carry, half_1, half_2, taus)
-        sums = [s + b for s, b in zip(sums, block_sums)]
+        for j, tau in enumerate(taus):
+            sums[j] += int(np.dot(lagged[keep - tau:keep - tau + size], half_2))
+        lagged[:keep] = lagged[size:size + keep]
     if total_1 == 0 or total_2 == 0:
         raise ValueError("stream is empty; raise nbar or slots")
     mean_1, mean_2 = total_1 / slots, total_2 / slots

@@ -45,7 +45,6 @@ class SourceKind(str, Enum):
 
 
 PAIR_KINDS = frozenset({SourceKind.CORRELATED, SourceKind.ANTI_CORRELATED})
-THERMAL_KINDS = frozenset({SourceKind.UNCORRELATED, SourceKind.SPLIT_THERMAL})
 
 
 #: Each kind's parameters, in the spelling users give.
@@ -169,33 +168,3 @@ def generating_function_minus_one(spec: SourceSpec, u, v):
         return -x * sum((1.0 - x) ** k for k in range(n))
     return sum(w * (less_one(u, a) * (1.0 - v) ** b + less_one(v, b))
                for (a, b), w in _pair_weights(spec).items())
-
-
-def g2_zero(dist: JointOccupationDistribution, mode: str) -> float:
-    """Equal-time second-order coherence of one mode of a distribution.
-
-    ``g2(0) = <n (n-1)> / <n>**2`` computed from the occupation marginal.
-    Thermal statistics give 2, a one-photon state gives 0, Poissonian light
-    gives 1.
-    """
-    i = dist.mode_index(mode)
-    mean = math.fsum(occ[i] * p for occ, p in dist.entries.items())
-    if mean <= 0.0:
-        raise ValueError(f"mode {mode!r} has zero mean occupation")
-    fac2 = math.fsum(occ[i] * (occ[i] - 1) * p for occ, p in dist.entries.items())
-    return fac2 / (mean * mean)
-
-
-def marginal_g2_zero(spec: SourceSpec, cutoff: int = 20) -> float:
-    """g2(0) of the ``In_A`` marginal of a source.
-
-    The cutoff must be generous enough that the truncated tail is
-    negligible (below 1e-9), otherwise the factorial moment is biased.
-    Note the pair sources are two-photon truncations, so their marginals do
-    not show the thermal value 2.
-    """
-    dist = make_source(spec, cutoff)
-    if dist.lost_mass > 1e-9:
-        raise ValueError(
-            f"cutoff {cutoff} leaves lost_mass {dist.lost_mass:.3g} > 1e-9; raise it")
-    return g2_zero(dist, IN_A)

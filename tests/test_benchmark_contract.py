@@ -2,15 +2,19 @@
 
 ``perfbench/`` is not edited alongside the package, so a rename or a
 signature change there breaks the benchmark silently unless it is caught
-here.  ``perfbench/tracing.py`` is loaded by path: it is not a package.
+here.  ``perfbench/tracing.py`` and ``perfbench/workloads.py`` are loaded
+by path: they are not a package.  Both workloads also run a few tiny rounds
+here and must pass their own verification.
 """
 
 import importlib
 import importlib.util
 import inspect
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +30,15 @@ def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   PERFBENCH / "tracing.py")
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -96,3 +109,19 @@ def test_parsed_sources_match_built_specs(entry, spec):
     parsed = _parse_source(entry, "source").spec
     assert parsed == spec
     assert hash(parsed) == hash(spec)
+
+
+@pytest.mark.parametrize("workload", ["sweep-mc", "acquisition"])
+def test_workload_gates_pass_on_tiny_rounds(workload, tmp_path):
+    # the program namespace the benchmark hands each workload
+    names = ("analytics", "cli", "fock", "harness", "information", "montecarlo",
+             "oracle", "protocol", "sources")
+    program = SimpleNamespace(**{n: importlib.import_module(f"demonlab.{n}") for n in names})
+    workloads = _workloads()
+    instance = workloads.WORKLOADS[workload](program, 5, workloads.SIZES["tiny"], tmp_path)
+    ops = workloads.OpLog()
+    for i in range(3):
+        instance.collect(i, instance.run_round(i, ops))
+    verdicts = instance.verify()
+    assert verdicts.attempted > 0
+    assert verdicts.failed == 0, verdicts.messages

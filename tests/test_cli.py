@@ -61,6 +61,26 @@ def test_sweep_rejects_bad_config_file(tmp_path, capsys):
     assert "kind" in capsys.readouterr().err
 
 
+def test_sweep_cell_that_detects_nothing_names_the_cell(tmp_path, capsys):
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps({"version": 1, "engine": "both", "slots": 1, "grid": [0.25],
+                                "sources": [{"kind": "uncorrelated", "nbar": 0.05}]}))
+    assert main(["sweep", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config.sources[0] at r2=0.25" in err and "nothing was detected" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--preset", "fig4b"],
+    ["mc", "--kind", "uncorrelated", "--nbar", "0.05", "--slots", "1000"],
+])
+def test_out_to_an_unwritable_path_exits_2_naming_it(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and "Traceback" not in err
+
+
 def test_mc_single_run_payload(tmp_path):
     out = tmp_path / "run.json"
     code = main(["mc", "--kind", "correlated", "--s2", "0.01", "--slots", "20000",

@@ -172,8 +172,8 @@ def test_loss_commutes_with_split_when_applied_to_both_arms():
     rng = np.random.default_rng(7)
     weights = rng.random(5)
     weights /= weights.sum()
-    pmf = {n: float(w) for n, w in enumerate(weights)}
-    base = JointOccupationDistribution.from_single_mode("in", pmf, cutoff=4)
+    entries = {(n,): float(w) for n, w in enumerate(weights)}
+    base = JointOccupationDistribution(("in",), entries, cutoff=4)
     r = math.sqrt(0.3)
 
     after = beamsplitter_split(base, "in", r, "tap")

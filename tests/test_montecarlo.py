@@ -16,7 +16,6 @@ from demonlab.montecarlo import (
     RunMode,
     RunResult,
     calibrate_balance,
-    _lag_sums,
     estimate_g2,
     fit_gaussian_memory_tau_c,
     measure_power,
@@ -46,8 +45,6 @@ def test_config_validation():
         _cfg(seed=-1)
     with pytest.raises(ValueError):
         _cfg(seed=1 << 64)
-    with pytest.raises(ValueError):
-        _cfg(arm_trim=(1.2, 1.0))
     with pytest.raises(ValueError):
         _cfg(arm_efficiency=(0.5, -0.1))
     with pytest.raises(ValueError):
@@ -210,8 +207,9 @@ def test_calibrate_balance_nulls_a_ten_percent_imbalance():
     assert trim_b == 1.0
     assert 0.8 < trim_a < 1.0
     check = run(RunConfig(spec=UNCORR, r=cfg.r, eps2=1.0, slots=400_000,
-                          seed=999, mode=RunMode.BAR, arm_trim=(trim_a, trim_b),
-                          arm_efficiency=(1.0, 1.0 / 1.1)))
+                          seed=999, mode=RunMode.BAR,
+                          arm_efficiency=(trim_a * cfg.arm_efficiency[0],
+                                          trim_b * cfg.arm_efficiency[1])))
     assert abs(check.delta_n) <= 4.0 * check.stderr_delta_n
 
 
@@ -269,21 +267,25 @@ def test_g2_gaussian_memory_decays_on_the_set_scale():
     assert abs(fitted - 6.0) / 6.0 < 0.15
 
 
-def test_lag_sums_over_blocks_match_the_whole_stream():
-    """Block-wise lagged products equal one dot product over the joined stream."""
-    rng = np.random.default_rng(71)
-    sizes = (50, 50, 13, 50, 1, 50, 37)
-    taus = (0, 1, 49, 50, 51, 120)  # within a block, at its edge, beyond it
-    half_1 = [rng.integers(0, 4, n) for n in sizes]
-    half_2 = [rng.integers(0, 4, n) for n in sizes]
-    sums = [0] * len(taus)
-    carry = np.zeros(0, dtype=np.int64)
-    for a, b in zip(half_1, half_2):
-        block_sums, carry = _lag_sums(carry, a, b, taus)
-        sums = [s + d for s, d in zip(sums, block_sums)]
-        assert carry.size <= max(taus)
+def test_g2_lag_sums_over_blocks_match_the_whole_stream():
+    """Block-wise g2 equals one dot product per delay over the whole stream."""
+    nbar, seed, slots = 0.5, 71, 2 * BLOCK + 37
+    taus = (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, slots - 1)  # within, at and beyond a block
+    # replay the documented draw order: per block the counts, then the splitter
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    half_1, half_2 = [], []
+    for base in range(0, slots, BLOCK):
+        counts = rng.geometric(1.0 / (1.0 + nbar), min(BLOCK, slots - base)) - 1
+        first = np.zeros_like(counts)
+        occupied = np.flatnonzero(counts)
+        first[occupied] = rng.binomial(counts[occupied], 0.5)
+        half_1.append(first)
+        half_2.append(counts - first)
     a, b = np.concatenate(half_1), np.concatenate(half_2)
-    assert sums == [int(np.dot(a[:a.size - tau], b[tau:])) for tau in taus]
+    means = (int(a.sum()) / slots) * (int(b.sum()) / slots)
+    expected = [(tau, int(np.dot(a[:slots - tau], b[tau:])) / (slots - tau) / means)
+                for tau in taus]
+    assert estimate_g2(SourceSpec.uncorrelated(nbar), slots, seed, taus) == expected
 
 
 #: Traced peak bounds at 2M slots, in MB.  The peaks measure 2.9 (iid) and

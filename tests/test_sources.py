@@ -4,25 +4,23 @@ import math
 
 import pytest
 
-from demonlab.fock import thermal_pmf, JointOccupationDistribution
+from demonlab.fock import thermal_pmf
 from demonlab.sources import (
     IN_A,
     IN_B,
     PAIR_KINDS,
     PARAMETERS,
-    THERMAL_KINDS,
     SourceKind,
     SourceSpec,
     _pair_weights,
-    g2_zero,
     make_source,
-    marginal_g2_zero,
 )
 
 
 def test_kind_partition():
-    assert set(PAIR_KINDS) | set(THERMAL_KINDS) == set(SourceKind)
-    assert not set(PAIR_KINDS) & set(THERMAL_KINDS)
+    # the pair kinds are the ones parametrized by a pair strength
+    assert PAIR_KINDS == {kind for kind in SourceKind if "s2" in PARAMETERS[kind]}
+    assert PAIR_KINDS < set(SourceKind)
 
 
 def test_source_spec_validation_per_kind():
@@ -132,29 +130,21 @@ def test_correlated_marginal_is_sub_thermal_truncation():
     assert occupancies == {(0, 0), (1, 1)}
 
 
-def test_g2_zero_values():
-    thermal = make_source(SourceSpec.uncorrelated(0.05), cutoff=20)
-    assert abs(g2_zero(thermal, IN_A) - 2.0) < 1e-6
-    one_photon = JointOccupationDistribution(("m",), {(1,): 1.0}, cutoff=1)
-    assert g2_zero(one_photon, "m") == 0.0
-    vacuum = JointOccupationDistribution.vacuum(("m",))
-    with pytest.raises(ValueError):
-        g2_zero(vacuum, "m")
+def _marginal_g2_zero(spec: SourceSpec, cutoff: int) -> float:
+    """``<n (n-1)> / <n>**2`` of the ``In_A`` marginal of ``make_source``."""
+    entries = make_source(spec, cutoff).entries
+    mean = math.fsum(occ[0] * p for occ, p in entries.items())
+    return math.fsum(occ[0] * (occ[0] - 1) * p for occ, p in entries.items()) / mean ** 2
 
 
 def test_marginal_g2_zero_thermal_kinds_bunch():
-    assert abs(marginal_g2_zero(SourceSpec.uncorrelated(0.05), cutoff=20) - 2.0) < 1e-6
-    assert abs(marginal_g2_zero(SourceSpec.split_thermal(0.05), cutoff=25) - 2.0) < 1e-6
-
-
-def test_marginal_g2_zero_guards_truncation_bias():
-    with pytest.raises(ValueError):
-        marginal_g2_zero(SourceSpec.uncorrelated(0.05), cutoff=4)
+    assert abs(_marginal_g2_zero(SourceSpec.uncorrelated(0.05), cutoff=20) - 2.0) < 1e-6
+    assert abs(_marginal_g2_zero(SourceSpec.split_thermal(0.05), cutoff=25) - 2.0) < 1e-6
 
 
 def test_marginal_g2_zero_pair_truncation():
     # a correlated bath marginal never holds two photons, so g2 vanishes
-    assert marginal_g2_zero(SourceSpec.correlated(s2=0.01)) == 0.0
+    assert _marginal_g2_zero(SourceSpec.correlated(s2=0.01), cutoff=20) == 0.0
 
 
 def test_source_mass_accounting():
