@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     info = sub.add_parser("info", help="monitor/output mutual information")
     _add_source_flags(info)
     info.add_argument("--cutoff", type=int,
-                      help="photon-number truncation, at most 64 (default: the "
-                           "smallest from 12 up that leaves out <= 1e-13 of the bath)")
+                      help="photon-number truncation, at most 384 (default: the "
+                           "first of 12, 24, 48, ... that leaves out <= 1e-13 of the bath)")
     info.add_argument("--out", help="output file (default stdout)")
 
     sub.add_parser("check", help="run the self-test table")

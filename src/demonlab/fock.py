@@ -11,13 +11,15 @@ Two channels act on such tables, both binomial thinning by one loop: a tap
 beamsplitter that routes each photon independently into a new mode with
 probability ``r**2``, and a loss channel (survival ``eps2``) that either
 discards the lost photons or parks them in an explicit loss mode.  The demon
-pipeline itself uses the per-arm kernel ``protocol.arm_kernel``.
+pipeline routes each arm by ``binomial_rows``, the same thinning as a matrix.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 Occupation = tuple[int, ...]
 
@@ -142,11 +144,22 @@ class JointOccupationDistribution:
 
 
 def thermal_pmf(nbar, n: int) -> float:
-    """Occupation probability of a thermal mode: ``nbar**n / (1+nbar)**(n+1)``."""
+    """Occupation probability of a thermal mode, ``(nbar/(1+nbar))**n / (1+nbar)``."""
     nbar = as_nbar(nbar)
     if n < 0:
         raise ValueError("photon number must be >= 0")
-    return nbar ** n / (1.0 + nbar) ** (n + 1)
+    return (nbar / (1.0 + nbar)) ** n / (1.0 + nbar)
+
+
+def binomial_rows(cutoff: int, p: float) -> np.ndarray:
+    """``B[n, k] = C(n, k) p**k (1-p)**(n-k)`` for ``n <= cutoff``, by Pascal's
+    rule: sums of non-negative terms, exact at ``p`` of 0 or 1."""
+    rows = np.zeros((cutoff + 1, cutoff + 1))
+    rows[:1, :1] = 1.0  # a slice: a negative cutoff is left to the caller's check
+    for n in range(1, cutoff + 1):
+        rows[n, 1:n + 1] = p * rows[n - 1, :n]
+        rows[n, :n] += (1.0 - p) * rows[n - 1, :n]
+    return rows
 
 
 def single_mode_thermal(nbar, cutoff: int = DEFAULT_CUTOFF,

@@ -26,7 +26,7 @@ from typing import Mapping
 import numpy as np
 
 from .analytics import Normalization, as_normalization
-from .fock import JointOccupationDistribution, as_amplitude, as_efficiency
+from .fock import JointOccupationDistribution, as_amplitude, as_efficiency, binomial_rows
 from .sources import IN_A, IN_B, SourceKind, SourceSpec, generating_function_minus_one
 
 DEM_A = "Dem_A"
@@ -126,26 +126,16 @@ def arm_kernel(cutoff: int, r, eps2) -> list[dict[tuple[int, int, int], float]]:
 
     Each photon survives the upstream loss with probability ``eps2`` and is
     then tapped to the monitor with probability ``r**2`` or kept for the
-    switch.  Both arms pass through ``K`` before the switch.  Cells of zero
-    weight are left out.
+    switch, so ``K[n][(k - m, m, n - k)] = survive[n, k] * tap[k, m]`` of two
+    ``binomial_rows``.  Both arms pass through ``K`` before the switch.
+    Cells of zero weight are left out.
     """
     r = as_amplitude(r)
-    eps2 = as_efficiency(eps2)
-    r2 = r * r
-    # each power once; the products keep their order, so sums over K repeat bit for bit
-    survive, lose, tap, keep = ([x ** j for j in range(cutoff + 1)]
-                                for x in (eps2, 1.0 - eps2, r2, 1.0 - r2))
-    kernel = []
-    for n in range(cutoff + 1):
-        row = {}
-        for k in range(n + 1):  # survivors of the loss
-            p_k = math.comb(n, k) * survive[k] * lose[n - k]
-            for m in range(k + 1):  # tapped to the monitor
-                p = p_k * math.comb(k, m) * tap[m] * keep[k - m]
-                if p > 0.0:
-                    row[(k - m, m, n - k)] = p
-        kernel.append(row)
-    return kernel
+    survive = binomial_rows(cutoff, as_efficiency(eps2)).tolist()
+    tap = binomial_rows(cutoff, r * r).tolist()
+    return [{(k - m, m, n - k): p_k * p_m for k, p_k in enumerate(row[:n + 1])
+             for m, p_m in enumerate(tap[k][:k + 1]) if p_k * p_m > 0.0}
+            for n, row in enumerate(survive)]
 
 
 def propagate(source_state: JointOccupationDistribution, r, eps2,

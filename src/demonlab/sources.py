@@ -30,6 +30,7 @@ from .fock import (
     as_nbar,
     as_nonnegative,
     as_visibility,
+    binomial_rows,
     thermal_pmf,
 )
 
@@ -141,11 +142,11 @@ def make_source(spec: SourceSpec,
         return JointOccupationDistribution((IN_A, IN_B), entries, cutoff, max(lost, 0.0))
     if spec.kind is SourceKind.SPLIT_THERMAL:
         total_nbar = 2.0 * spec.nbar
-        entries: dict[tuple[int, int], float] = {}
-        for tot in range(cutoff + 1):
-            p_tot = total_nbar ** tot / (1.0 + total_nbar) ** (tot + 1)
-            for k in range(tot + 1):
-                entries[(k, tot - k)] = p_tot * math.comb(tot, k) * 0.5 ** tot
+        # the shared mode's photons each go to In_A with chance 1/2
+        pmf = [thermal_pmf(total_nbar, tot) for tot in range(cutoff + 1)]
+        halves = binomial_rows(cutoff, 0.5).tolist()
+        entries = {(k, tot - k): pmf[tot] * halves[tot][k]
+                   for tot in range(cutoff + 1) for k in range(tot + 1)}
         lost = (total_nbar / (1.0 + total_nbar)) ** (cutoff + 1)
         return JointOccupationDistribution((IN_A, IN_B), entries, cutoff, lost)
     if cutoff < 2:

@@ -21,7 +21,8 @@ import pytest
 from demonlab import harness, montecarlo
 from demonlab.harness import _parse_source
 from demonlab.information import mutual_information
-from demonlab.sources import SourceSpec
+from demonlab.protocol import ALL_BAR, TABLE_THERMAL
+from demonlab.sources import SourceSpec, make_source
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -62,6 +63,34 @@ def test_every_traced_target_resolves(module, name):
 ])
 def test_names_the_benchmark_uses_resolve(module, name):
     _resolve(module, name)
+
+
+_WEAK = SourceSpec.uncorrelated(0.05)
+_R_HALF = math.sqrt(0.5)
+
+#: One tiny call of each function a result probe of the tracer reads.
+_PROBE_CALLS = {
+    "montecarlo.run": ((montecarlo.RunConfig(spec=_WEAK, r=_R_HALF, eps2=1.0,
+                                             slots=10_000, seed=1),), {}),
+    "montecarlo.measure_power": ((_WEAK, _R_HALF, 1.0, 10_000, 1, "singles"), {}),
+    "montecarlo.estimate_g2": ((SourceSpec.uncorrelated(0.5), montecarlo.MIN_G2_SLOTS, 1,
+                                (0, 1)), {}),
+    "protocol.propagate": ((make_source(_WEAK, 2), _R_HALF, 1.0, ALL_BAR), {}),
+    "information.mutual_information": ((_WEAK, _R_HALF, 1.0), {"cutoff": 4}),
+    "oracle.enumerate_outcomes": ((_WEAK, _R_HALF, 1.0, TABLE_THERMAL), {"cutoff": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_tracing().PROBES))
+def test_result_probes_read_real_results(name):
+    # each probe reads fields off the arguments or the result, such as
+    # InfoResult.joint, DemonOutcome.dist or OracleReport.paths
+    fn = _resolve(*name.split("."))
+    args, kwargs = _PROBE_CALLS[name]
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    counts = _tracing().PROBES[name](bound.arguments, fn(*args, **kwargs))
+    assert counts and isinstance(counts, dict)
 
 
 def test_keyword_arguments_the_benchmark_passes():

@@ -135,9 +135,10 @@ _ARGUMENT_ERRORS = [
     (["mc", "--kind", "correlated", "--s2", "0.01", "--r2", "1.5"], "--r2"),
     (["info", "--kind", "correlated", "--s2", "0.01", "--r2", "-0.5"], "--r2"),
     # a bath too bright for the largest truncation info picks for itself
-    (["info", "--kind", "split-thermal", "--nbar", "2"], "cutoff"),
-    # an explicit truncation beyond it would run for hours
-    (["info", "--kind", "uncorrelated", "--nbar", "0.05", "--cutoff", "65"], "cutoff"),
+    (["info", "--kind", "uncorrelated", "--nbar", "12"], "cutoff"),
+    # an explicit truncation beyond it is refused too
+    (["info", "--kind", "uncorrelated", "--nbar", "0.05", "--cutoff", "385"], "cutoff"),
+    (["info", "--kind", "split-thermal", "--nbar", "0.05", "--cutoff", "-1"], "cutoff"),
     (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
     # the flag is range-checked like DEMONLAB_SEED, before anything runs
     (["sweep", "--preset", "fig4a", "--seed", "-1"], "--seed"),
@@ -194,6 +195,13 @@ def test_info_command(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["mutual_info_bits"] == pytest.approx(2.0, abs=1e-12)
+
+
+def test_info_serves_a_bright_bath(capsys):
+    # refused at 64 photons before the matrix routing
+    assert main(["info", "--kind", "split-thermal", "--nbar", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert 0.0 < payload["mutual_info_bits"] <= 2.0
 
 
 def _stub_checks(monkeypatch, **rows):

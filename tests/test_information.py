@@ -2,15 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from demonlab.information import (
     DEFAULT_INFO_CUTOFF,
+    MAX_EXACT_CUTOFF,
     mutual_information,
     mutual_information_of_joint,
 )
 from demonlab.protocol import ALL_BAR, TABLE_PAIR, propagate
-from demonlab.sources import SourceSpec, make_source
+from demonlab.sources import PAIR_KINDS, SourceSpec, make_source
 
 R_HALF = math.sqrt(0.5)
 
@@ -42,13 +45,51 @@ def test_information_vanishes_without_taps_for_bright_thermal_baths():
         assert mutual_information(spec, 0.0, 1.0).mutual_info_bits <= 1e-12, spec
 
 
+def test_truncated_joint_reports_no_information_that_is_not_there():
+    """The entropies are taken on the joint normalized to its own total, so
+    the mass a cutoff drops does not turn into bits, and nothing reads as a
+    negative or signed zero."""
+    # 2.0e-3 of the split bath lies above 8 photons; this read 2.82e-3 bits
+    assert mutual_information(SourceSpec.split_thermal(0.5), 0.0, 1.0,
+                              cutoff=8).mutual_info_bits == 0.0
+    # fig5b's split-thermal r2 = 0 cell read 4.18e-14 bits
+    assert mutual_information(SourceSpec.split_thermal(0.05), 0.0, 1.0).mutual_info_bits == 0.0
+    # only vacuum is kept at cutoff 0; both fields read 0.12769
+    vacuum = mutual_information(SourceSpec.uncorrelated(0.05), R_HALF, 1.0, cutoff=0)
+    assert (vacuum.mutual_info_bits, vacuum.click_entropy_bits) == (0.0, 0.0)
+    # no photon survives; the click entropy read -9.6e-16
+    dark = mutual_information(SourceSpec.uncorrelated(0.05), R_HALF, 0.0)
+    assert (dark.mutual_info_bits, dark.click_entropy_bits) == (0.0, 0.0)
+    # nothing is tapped; the click entropy read -0.0
+    untapped = mutual_information(SourceSpec.correlated(s2=0.01), 0.0, 1.0)
+    assert math.copysign(1.0, untapped.click_entropy_bits) == 1.0
+    assert (untapped.mutual_info_bits, untapped.click_entropy_bits) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    SourceSpec.uncorrelated(2.0), SourceSpec.uncorrelated(5.0), SourceSpec.uncorrelated(10.0),
+    SourceSpec.split_thermal(2.0), SourceSpec.split_thermal(5.0),
+], ids=lambda spec: f"{spec.kind.value}-{spec.nbar}")
+def test_bright_baths_reveal_nothing_without_taps(spec):
+    assert mutual_information(spec, 0.0, 1.0).mutual_info_bits <= 1e-12
+
+
+def test_bright_bath_automatic_cutoff_is_adequate():
+    spec = SourceSpec.uncorrelated(2.0)
+    auto = mutual_information(spec, R_HALF, 0.8)
+    full = mutual_information(spec, R_HALF, 0.8, cutoff=MAX_EXACT_CUTOFF)
+    assert len(auto.joint) < len(full.joint)
+    assert abs(auto.mutual_info_bits - full.mutual_info_bits) <= 1e-12
+    assert abs(auto.click_entropy_bits - full.click_entropy_bits) <= 1e-12
+
+
 def test_full_tap_leaves_nothing_to_reveal():
     # r = 1 sends every photon to the monitors: both always click on a pair,
     # nothing is kept, and both entropies collapse
     res = mutual_information(SourceSpec.correlated(s2=0.01), 1.0, 1.0)
     assert res.mutual_info_bits == pytest.approx(0.0, abs=1e-12)
     assert res.click_entropy_bits == pytest.approx(0.0, abs=1e-12)
-    assert res.joint[((True, True), (0, 0))] == pytest.approx(1.0, abs=1e-12)
+    assert res.joint[0, 0, 1, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_information_bounds():
@@ -100,10 +141,11 @@ def test_shared_mode_bath_comparison():
 
 
 def _joint_from_outcome(outcome):
-    joint = {}
+    """``[kept_a, kept_b, click_a, click_b]`` of an outcome's pre-switch record."""
+    cutoff = outcome.dist.cutoff
+    joint = np.zeros((cutoff + 1, cutoff + 1, 2, 2))
     for (out_a, out_b, dem_a, dem_b, _la, _lb), p in outcome.dist.entries.items():
-        key = ((dem_a >= 1, dem_b >= 1), (out_a, out_b))
-        joint[key] = joint.get(key, 0.0) + p
+        joint[out_a, out_b, int(dem_a >= 1), int(dem_b >= 1)] += p
     return joint
 
 
@@ -119,6 +161,27 @@ def test_information_matches_propagated_joint():
         via_pipeline = mutual_information_of_joint(_joint_from_outcome(outcome))
         direct = mutual_information(spec, R_HALF, 0.14, cutoff=cutoff).mutual_info_bits
         assert abs(via_pipeline - direct) < 1e-10, spec.kind
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(SourceSpec.uncorrelated, st.floats(0.0, 2.0)),
+    st.builds(SourceSpec.split_thermal, st.floats(0.0, 2.0)),
+    st.builds(lambda s2: SourceSpec.correlated(s2=s2), st.floats(0.0, 0.1)),
+    st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2),
+              st.floats(0.0, 0.1), _unit),
+), _unit, _unit, st.integers(2, 8))
+def test_information_matches_propagated_joint_everywhere(spec, r2, eps2, cutoff):
+    """The matrix routing and the channel pipeline agree at any truncation."""
+    r = math.sqrt(r2)
+    state = make_source(spec.with_drop_vacuum() if spec.kind in PAIR_KINDS else spec, cutoff)
+    via_pipeline = mutual_information_of_joint(
+        _joint_from_outcome(propagate(state, r, eps2, ALL_BAR)))
+    direct = mutual_information(spec, r, eps2, cutoff=cutoff).mutual_info_bits
+    assert abs(via_pipeline - direct) <= 1e-12
 
 
 def test_reported_information_is_the_pre_switch_record():

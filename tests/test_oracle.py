@@ -7,6 +7,7 @@ so entrywise agreement here validates both constructions at once.
 import json
 import math
 
+import numpy as np
 import pytest
 
 from demonlab.fock import JointOccupationDistribution
@@ -171,7 +172,11 @@ def test_clicks_vs_kept_joint_reproduces_information_module():
     for spec in (SourceSpec.correlated(s2=0.01, drop_vacuum=True),
                  SourceSpec.anti_correlated(s2=0.01, v2=0.87, drop_vacuum=True)):
         report = enumerate_outcomes(spec, math.sqrt(0.5), 0.14, ALL_BAR)
-        joint = clicks_vs_kept_joint(report)
+        cells = clicks_vs_kept_joint(report)
+        top = max(max(kept) for _, kept in cells)
+        joint = np.zeros((top + 1, top + 1, 2, 2))
+        for ((click_a, click_b), (kept_a, kept_b)), p in cells.items():
+            joint[kept_a, kept_b, int(click_a), int(click_b)] += p
         via_oracle = mutual_information_of_joint(joint)
         direct = mutual_information(spec, math.sqrt(0.5), 0.14, cutoff=4).mutual_info_bits
         assert abs(via_oracle - direct) < 1e-10

@@ -23,20 +23,20 @@ PRESET_DIGESTS = {
     ("fig4b", "csv"): "1ed05ead4e94fd5d64b4815d09a64fa04b4db716d306870c844c5c9dee378548",
     ("fig4b", "json"): "2488005f288705262ae1998a468b05f461656a453dc77d61a144e92522800316",
     ("fig4b", "svg"): "02f425964c370a0420022cb2de1112e0b935ed25de62e392bd597a8a9d16e385",
-    ("fig5a", "csv"): "3b9706bf491f8cc83787fbae3742bc69f97f890efdf482b0b3dc190fabc0bc26",
-    ("fig5a", "json"): "c7e5cbf70c2c6e4f854ad526c482c2d8c5991ac308eee8768747ceecc2e373be",
+    ("fig5a", "csv"): "ff1b03c7740c1c73eec31c66088eb58d4db7882ae6718882d71637e30a427c04",
+    ("fig5a", "json"): "96077bb0876316b8744fb6323f6f253c41cc2e08031c2db82b475b0236875a21",
     ("fig5a", "svg"): "18f1479983517883fa42362ffbc04714baf7de3669bc8a9932266fe119a5e3e7",
-    ("fig5b", "csv"): "6010b3c92bfe8ca9caadcc9b93762d959c2292418d47555a7e5189dda9e96362",
-    ("fig5b", "json"): "7ffa182bd8af9397f7c8669a8bb9d926e8a40e01a3036c24e66dfa82b9cbf69c",
+    ("fig5b", "csv"): "f571743b0d98a09e617ec0f2acba243e9df0330416dca20dc20841841bd905ad",
+    ("fig5b", "json"): "4b1bd5fdf92b8b9cd353f3186bc23b2490fa13856924be667f696e0da0784925",
     ("fig5b", "svg"): "28108001631bc416c1a4c1ef4d0ff236a2b413ae9cdd659071f090f0e6a7bbd6",
 }
 
 # default tap (r2 0.5) and coupling (eps2 1)
 INFO_DIGESTS = {
     ("--kind", "uncorrelated", "--nbar", "0.05"):
-        "26c43883baf74daee6ee8e5fa4cf7e0c542a3ba467ba2c8eef0deb12a2624e09",
+        "9a2316f979c00b08d526efd25b0dfd5713b742686929d82d8d2c43134074bb72",
     ("--kind", "split-thermal", "--nbar", "0.05"):
-        "364c6fa96c7993bd03c8d7e8d37a83ce2046c8ff266a26198c00bc0d79328f98",
+        "63ea66ac33b152934dc9474e1b7a6a34d8f56d088122a3da259204c63c5fed88",
     ("--kind", "correlated", "--s2", "0.01"):
         "5f18193a15117ecc793df3dbe85028540bc4adfa9913b5c71d9280a16e5a4b2a",
     ("--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87"):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from demonlab.fock import JointOccupationDistribution
@@ -22,6 +23,7 @@ from demonlab.protocol import (
     TABLE_PAIR,
     TABLE_THERMAL,
     arm_kernel,
+    binomial_rows,
     canonical_policy,
     detector_probs,
     expected_power,
@@ -167,6 +169,25 @@ def test_demon_outcome_enforces_mode_order():
     bad = JointOccupationDistribution.vacuum(tuple(reversed(OUTCOME_MODES)))
     with pytest.raises(ValueError):
         DemonOutcome(bad)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.86, 1.0])
+def test_binomial_rows_match_the_closed_form(p):
+    want = np.array([[math.comb(n, k) * p ** k * (1.0 - p) ** (n - k) if k <= n else 0.0
+                      for k in range(41)] for n in range(41)])
+    np.testing.assert_allclose(binomial_rows(40, p), want, rtol=1e-13, atol=0.0)
+
+
+def test_arm_kernel_matches_the_closed_form():
+    """Each cell is ``C(n, k) eps2**k (1-eps2)**(n-k) * C(k, m) r2**m (1-r2)**(k-m)``."""
+    r2, eps2 = 0.3, 0.6
+    for n, row in enumerate(arm_kernel(12, math.sqrt(r2), eps2)):
+        for (kept, tapped, lost), p in row.items():
+            k = kept + tapped
+            want = (math.comb(n, k) * eps2 ** k * (1.0 - eps2) ** lost
+                    * math.comb(k, tapped) * r2 ** tapped * (1.0 - r2) ** kept)
+            assert p == pytest.approx(want, rel=1e-13)
+        assert len(row) == (n + 1) * (n + 2) // 2
 
 
 def test_arm_kernel_rows_are_distributions():

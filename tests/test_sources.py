@@ -105,6 +105,14 @@ def test_make_source_split_marginal_matches_thermal():
         assert abs(marg - thermal_pmf(0.05, n)) < 1e-12
 
 
+@pytest.mark.parametrize("spec", [SourceSpec.uncorrelated(10.0), SourceSpec.split_thermal(6.0)],
+                         ids=lambda spec: spec.kind.value)
+def test_make_source_keeps_its_mass_on_bright_baths(spec):
+    # nbar**n / (1+nbar)**(n+1) overflowed here, at the largest information cutoff
+    dist = make_source(spec, cutoff=384)
+    assert abs(math.fsum(dist.entries.values()) + dist.lost_mass - 1.0) <= 1e-12
+
+
 def test_split_and_pair_sources_are_exchange_symmetric():
     specs = [
         SourceSpec.split_thermal(0.05),
