@@ -171,11 +171,11 @@ def single_mode_thermal(nbar, cutoff: int = DEFAULT_CUTOFF,
     return JointOccupationDistribution((label,), entries, cutoff, tail)
 
 
-def _thin(dist: JointOccupationDistribution, mode: str, stay: float, leave: float,
+def _thin(dist: JointOccupationDistribution, mode: str, stay: float,
           new_mode: str | None) -> JointOccupationDistribution:
     """Binomial thinning of ``mode``: each photon stays with chance ``stay``.
 
-    n photons thin to k with weight ``C(n, k) * stay**k * leave**(n - k)``.
+    n photons thin to k with weight ``binomial_rows(max n, stay)[n, k]``.
     The ``n - k`` leavers land in the appended ``new_mode``, or are traced
     out when it is None.  Either way the total cannot grow, so the cutoff
     and lost_mass carry over unchanged.
@@ -184,11 +184,11 @@ def _thin(dist: JointOccupationDistribution, mode: str, stay: float, leave: floa
         raise ValueError(f"mode {new_mode!r} already present")
     labels = dist.mode_labels + (() if new_mode is None else (new_mode,))
     i = dist.mode_index(mode)
+    rows = binomial_rows(max((occ[i] for occ in dist.entries), default=0), stay).tolist()
     out: dict[Occupation, float] = {}
     for occ, p in dist.entries.items():
         n = occ[i]
-        for k in range(n + 1):
-            w = math.comb(n, k) * stay ** k * leave ** (n - k)
+        for k, w in enumerate(rows[n][:n + 1]):
             if w == 0.0:
                 continue
             key = occ[:i] + (k,) + occ[i + 1:] + (() if new_mode is None else (n - k,))
@@ -200,7 +200,7 @@ def beamsplitter_split(dist: JointOccupationDistribution, mode: str, r,
                        new_mode: str) -> JointOccupationDistribution:
     """Route each photon of ``mode`` into ``new_mode`` with probability ``r**2``."""
     r = as_amplitude(r)
-    return _thin(dist, mode, 1.0 - r * r, r * r, new_mode)
+    return _thin(dist, mode, 1.0 - r * r, new_mode)
 
 
 def loss_channel(dist: JointOccupationDistribution, mode: str, eps2,
@@ -211,7 +211,7 @@ def loss_channel(dist: JointOccupationDistribution, mode: str, eps2,
     mode; otherwise they are traced out.
     """
     eps2 = as_efficiency(eps2)
-    return _thin(dist, mode, eps2, 1.0 - eps2, loss_mode)
+    return _thin(dist, mode, eps2, loss_mode)
 
 
 def joint_detection_pmf(nbar, r, m: int, n: int) -> float:

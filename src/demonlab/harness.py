@@ -286,7 +286,8 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
                 compared.append((series.name, r2, mc, analytic, mc_stderr))
             info = None
             if config.include_info:
-                info = mutual_information(spec, r, series.eps2).mutual_info_bits
+                info = _checked(f"config.sources[{si}]", mutual_information,
+                                spec, r, series.eps2).mutual_info_bits
             rows.append(ReportRow(series.name, series.normalization.value, r2,
                                   analytic, mc, mc_stderr, info))
     if compared:
@@ -467,16 +468,18 @@ def _check_oracle_match():
         for r, eps2 in ((math.sqrt(r2), eps2) for r2 in grid for eps2 in effs):
             outcome = propagate(make_source(spec), r, eps2, policy)
             worst = max(worst, compare(enumerate_outcomes(spec, r, eps2, policy), outcome))
-    corr, anti = (spec.with_drop_vacuum() for spec in specs[2:])
+    corr, anti = specs[2:]
+    # per emitted pair: the vacuum's slots carry no imbalance
+    emitted = {spec: 1.0 - make_source(spec).entries[(0, 0)] for spec in (corr, anti)}
     gaps = []
     for r in (math.sqrt(r2) for r2 in grid[1:]):
         gaps += [symbolic_delta_uncorrelated(0.05, r)
                  - truncated_uncorrelated_delta(0.05, r, TABLE_THERMAL),
                  enumerate_outcomes(specs[1], r, 1.0, TABLE_THERMAL).delta]
         for eps2 in effs:
-            gaps += [enumerate_outcomes(corr, r, eps2, TABLE_PAIR).delta
+            gaps += [enumerate_outcomes(corr, r, eps2, TABLE_PAIR).delta / emitted[corr]
                      - symbolic_delta_pairs(1.0, r, eps2),
-                     enumerate_outcomes(anti, r, eps2, TABLE_THERMAL).delta
+                     enumerate_outcomes(anti, r, eps2, TABLE_THERMAL).delta / emitted[anti]
                      - symbolic_delta_pairs(1.0, r, eps2, visibility_factor=0.74)]
     symbolic = max(abs(g) for g in gaps)
     return worst <= 1e-12 and symbolic <= 1e-10, (

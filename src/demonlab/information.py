@@ -4,23 +4,21 @@ The joint ``p(n_A, n_B, m_A, m_B)`` pairs the photon numbers ``(n_A, n_B)``
 kept in the arms after the taps with the binary click pattern ``(m_A, m_B)``
 of the monitor detectors.  The arms do not interact before the taps, so the
 routing factorizes per arm: with ``W`` the bath and ``R[m][n, kept]`` one
-arm's loss and tap routing from ``protocol.binomial_rows``, the clicks
+arm's loss and tap routing from ``fock.binomial_rows``, the clicks
 ``(m_A, m_B)`` have the joint ``R[m_A].T @ W @ R[m_B]``.  Mutual information
 is reported in bits, at most 2 since the clicks are binary.
 
-The pair sources are evaluated on their post-selected (vacuum-dropped)
-states, matching how their power curves are normalized: the question is
-what the demon learns per emitted pair, not per empty slot.
+A pair bath is scored per emitted pair, as its power curves are normalized: ``W``
+drops the vacuum, leaving a table the same at any ``s2 > 0``; ``s2 = 0`` is refused.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fock import as_amplitude, as_efficiency
-from .protocol import binomial_rows
+from .fock import as_amplitude, as_efficiency, binomial_rows
 from .sources import PAIR_KINDS, SourceSpec, make_source
 
 DEFAULT_INFO_CUTOFF = 12
@@ -34,12 +32,11 @@ MAX_EXACT_CUTOFF = 384
 class InfoResult:
     mutual_info_bits: float
     click_entropy_bits: float
-    #: ``joint[kept_a, kept_b, click_a, click_b]``, before normalization
+    #: ``joint[kept_a, kept_b, click_a, click_b]``; a pair bath's is conditioned on an emission
     joint: np.ndarray
 
 
-def mutual_information(spec: SourceSpec, r, eps2,
-                       cutoff: int | None = None) -> InfoResult:
+def mutual_information(spec: SourceSpec, r, eps2, cutoff: int | None = None) -> InfoResult:
     """Mutual information between the click pattern and the kept photon numbers.
 
     Unless ``cutoff`` is given, the bath is truncated at the first of
@@ -49,8 +46,10 @@ def mutual_information(spec: SourceSpec, r, eps2,
     r, eps2 = as_amplitude(r), as_efficiency(eps2)
     if cutoff is not None and cutoff > MAX_EXACT_CUTOFF:
         raise ValueError(f"cutoff: {cutoff} exceeds the largest truncation, {MAX_EXACT_CUTOFF}")
-    if spec.kind in PAIR_KINDS:
-        spec = spec.with_drop_vacuum()
+    if spec.kind in PAIR_KINDS:  # its emitted table is the same at any s2 > 0
+        if spec.s2 == 0.0:
+            raise ValueError(f"s2: the {spec.kind.value} bath at s2 = 0 emits no pair to condition on")
+        spec = replace(spec, s2=1.0)
     source = make_source(spec, DEFAULT_INFO_CUTOFF if cutoff is None else cutoff)
     while cutoff is None and source.lost_mass > 1e-13:
         if source.cutoff >= MAX_EXACT_CUTOFF:
@@ -60,6 +59,9 @@ def mutual_information(spec: SourceSpec, r, eps2,
     n_a, n_b = np.array(list(source.entries)).T
     bath = np.zeros((max(n_a.max(), n_b.max()) + 1,) * 2)  # up to the fullest arm
     bath[n_a, n_b] = list(source.entries.values())
+    if spec.kind in PAIR_KINDS:  # condition on an emission
+        bath[0, 0] = 0.0
+        bath /= bath.sum()
     survive, keep = (binomial_rows(len(bath) - 1, p) for p in (eps2, 1.0 - r * r))
     untapped = keep.diagonal()  # (1 - r**2)**k: no survivor reaches the monitor
     # R[click][n, kept]; the diagonal cancels exactly, so r = 0 leaves R[1] = 0

@@ -127,9 +127,6 @@ class RunConfig:
         object.__setattr__(self, "eps2", as_efficiency(self.eps2))
         object.__setattr__(self, "mode", RunMode(self.mode))
         _check_brightness(self.spec)
-        if self.spec.drop_vacuum:
-            raise ValueError("the event stream keeps the vacuum; drop_vacuum is an "
-                             "analytics device")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:

@@ -14,14 +14,13 @@ and ``In_B``:
   (1,1): s2 (1 - v2)}``.  Perfect visibility ``v2 = 1`` removes the
   ``(1,1)`` leakage entirely.
 
-``drop_vacuum`` post-selects the pair sources on an emission actually
-happening, which is how the pair-normalized analytics are defined.  The
-Monte Carlo engine always keeps the vacuum.
+Every source keeps its vacuum; a spec holds the bath's parameters only, and
+conditioning a pair bath on an emission is left to its reader.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .fock import (
@@ -63,16 +62,12 @@ _COERCE = {"nbar": as_nbar, "s2": lambda value: as_nonnegative("s2", value),
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Parameters of one bath; ``PARAMETERS`` names those each kind takes.
-
-    ``drop_vacuum`` is only valid for the pair kinds.
-    """
+    """Parameters of one bath; ``PARAMETERS`` names those each kind takes."""
 
     kind: SourceKind
     nbar: float | None = None
     s2: float | None = None
     v2: float | None = None
-    drop_vacuum: bool = False
 
     def __post_init__(self) -> None:
         kind = SourceKind(self.kind)
@@ -86,8 +81,6 @@ class SourceSpec:
                 raise ValueError(f"{kind.value} requires {name}")
             else:
                 object.__setattr__(self, name, coerce(value))
-        if self.drop_vacuum and kind not in PAIR_KINDS:
-            raise ValueError("drop_vacuum applies to pair sources only")
 
     @classmethod
     def uncorrelated(cls, nbar: float) -> "SourceSpec":
@@ -99,34 +92,21 @@ class SourceSpec:
         return cls(SourceKind.SPLIT_THERMAL, nbar=nbar)
 
     @classmethod
-    def correlated(cls, s2: float, *, drop_vacuum: bool = False) -> "SourceSpec":
-        return cls(SourceKind.CORRELATED, s2=s2, drop_vacuum=drop_vacuum)
+    def correlated(cls, s2: float) -> "SourceSpec":
+        return cls(SourceKind.CORRELATED, s2=s2)
 
     @classmethod
-    def anti_correlated(cls, s2: float, v2: float, *,
-                        drop_vacuum: bool = False) -> "SourceSpec":
-        return cls(SourceKind.ANTI_CORRELATED, s2=s2, v2=v2, drop_vacuum=drop_vacuum)
-
-    def with_drop_vacuum(self) -> "SourceSpec":
-        return replace(self, drop_vacuum=True)
+    def anti_correlated(cls, s2: float, v2: float) -> "SourceSpec":
+        return cls(SourceKind.ANTI_CORRELATED, s2=s2, v2=v2)
 
 
 def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
-    # Every non-vacuum entry carries one overall factor of s2, so the
-    # post-selected ratios are independent of s2.  Strip that factor when the
-    # vacuum is dropped; s2 = 0 then still has a well-defined limit.
-    scale = 1.0 if spec.drop_vacuum else spec.s2
+    s2, v2 = spec.s2, spec.v2
     if spec.kind is SourceKind.CORRELATED:
-        raw = {(1, 1): scale}
+        raw = {(1, 1): s2}
     else:
-        v2 = spec.v2
-        raw = {
-            (2, 0): scale * v2 / 2.0,
-            (0, 2): scale * v2 / 2.0,
-            (1, 1): scale * (1.0 - v2),
-        }
-    if not spec.drop_vacuum:
-        raw[(0, 0)] = 1.0
+        raw = {(2, 0): s2 * v2 / 2.0, (0, 2): s2 * v2 / 2.0, (1, 1): s2 * (1.0 - v2)}
+    raw[(0, 0)] = 1.0
     total = math.fsum(raw.values())
     return {occ: w / total for occ, w in raw.items() if w > 0.0}
 

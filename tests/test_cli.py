@@ -122,6 +122,10 @@ _ARGUMENT_ERRORS = [
     (["mc", "--kind", "anti-correlated", "--s2", "nan", "--v2", "0.87"], "s2"),
     (["info", "--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87",
       "--nbar", "0.05"], "nbar"),
+    # a pair bath is scored per emitted pair, and s2 = 0 emits none
+    (["info", "--kind", "correlated", "--s2", "0"], "s2: the correlated bath"),
+    (["info", "--kind", "anti-correlated", "--s2", "0", "--v2", "0.5"],
+     "s2: the anti_correlated bath"),
     # a power measurement runs its own legs; these flags would be ignored
     (["mc", "--kind", "correlated", "--s2", "0.01", "--normalization", "pairs",
       "--dead-window", "50"], "--dead-window"),
@@ -202,6 +206,16 @@ def test_info_serves_a_bright_bath(capsys):
     assert main(["info", "--kind", "split-thermal", "--nbar", "2"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert 0.0 < payload["mutual_info_bits"] <= 2.0
+
+
+def test_info_scores_any_emitting_pair_bath_alike(capsys):
+    # the emitted table does not depend on s2, down to the smallest subnormal
+    bits = []
+    for s2 in ("0.01", "5e-324"):
+        assert main(["info", "--kind", "correlated", "--s2", s2, "--eps2", "0.5"]) == 0
+        bits.append(json.loads(capsys.readouterr().out)["mutual_info_bits"])
+    assert bits[0] > 0.0
+    assert bits[1] == bits[0]
 
 
 def _stub_checks(monkeypatch, **rows):

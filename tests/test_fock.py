@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ def test_loss_channel_frozen_two_photon_case():
     assert abs(out.probability((2,)) - 0.0196) < 1e-15
     assert abs(out.probability((1,)) - 0.2408) < 1e-15
     assert abs(out.probability((0,)) - 0.7396) < 1e-15
+
+
+def test_thinning_is_sized_by_the_photons_held_not_the_cutoff():
+    # thinning at cutoff 2,000 by rows sized to the cutoff allocates about
+    # 160 MB to move one photon; the cutoff is the caller's, with no bound
+    base = JointOccupationDistribution(("m",), {(0,): 0.5, (1,): 0.5}, cutoff=2_000)
+    tracemalloc.start()
+    try:
+        out = loss_channel(base, "m", 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.probability((0,)), out.probability((1,))) == (0.75, 0.25)
+    assert peak < 1_000_000
+    assert loss_channel(JointOccupationDistribution.vacuum(("m",), cutoff=50_000),
+                        "m", 0.5).entries == {(0,): 1.0}
 
 
 def test_loss_channel_limits():

@@ -82,7 +82,7 @@ def test_parse_errors_carry_field_paths():
                             "v2": 0.9}]), "v2"),
         (_minimal(sources=[{"name": "u", "kind": "uncorrelated", "nbar": 0.05,
                             "flavor": "x"}]), "flavor"),
-        # post-selection is an analytics device of the pair specs, not a config field
+        # post-selection belongs to the information analysis, not to a bath
         (_minimal(sources=[{"name": "c", "kind": "correlated", "s2": 0.01,
                             "drop_vacuum": True}]), "drop_vacuum"),
         (_minimal(sources=[{"name": "c", "kind": "correlated", "s2": -0.01}]),
@@ -174,6 +174,14 @@ def test_run_sweep_with_info_column():
                               "eps2": 1.0}])
     rows = run_sweep(parse_sweep_config(data))
     assert rows[0].mutual_info_bits > 0.0
+
+
+def test_run_sweep_info_names_a_bath_that_emits_nothing():
+    # a pair bath is scored per emitted pair; at s2 = 0 there is none
+    data = _minimal(include_info=True, grid=[0.25],
+                    sources=[{"name": "c", "kind": "correlated", "s2": 0.0}])
+    with pytest.raises(ConfigError, match=r"config\.sources\[0\]: s2: .* emits no pair"):
+        run_sweep(parse_sweep_config(data))
 
 
 def test_run_sweep_montecarlo_engine():

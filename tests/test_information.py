@@ -1,11 +1,13 @@
 """Tests for the click-record information analysis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from demonlab.fock import JointOccupationDistribution
 from demonlab.information import (
     DEFAULT_INFO_CUTOFF,
     MAX_EXACT_CUTOFF,
@@ -13,7 +15,7 @@ from demonlab.information import (
     mutual_information_of_joint,
 )
 from demonlab.protocol import ALL_BAR, TABLE_PAIR, propagate
-from demonlab.sources import PAIR_KINDS, SourceSpec, make_source
+from demonlab.sources import IN_A, IN_B, PAIR_KINDS, SourceKind, SourceSpec, make_source
 
 R_HALF = math.sqrt(0.5)
 
@@ -106,12 +108,6 @@ def test_information_bounds():
             assert res.click_entropy_bits <= 2.0 + 1e-12
 
 
-def test_pair_specs_analyzed_post_selected():
-    plain = mutual_information(SourceSpec.correlated(s2=0.01), 0.5, 0.14)
-    flagged = mutual_information(SourceSpec.correlated(s2=0.01, drop_vacuum=True), 0.5, 0.14)
-    assert abs(plain.mutual_info_bits - flagged.mutual_info_bits) < 1e-15
-
-
 def test_correlated_baths_reveal_more_than_uncorrelated():
     for r2 in (0.1, 0.25, 0.5):
         u = mutual_information(SourceSpec.uncorrelated(0.05), math.sqrt(r2), 0.14)
@@ -149,15 +145,26 @@ def _joint_from_outcome(outcome):
     return joint
 
 
+def _scored_source(spec, cutoff):
+    """The bath ``mutual_information`` scores: a pair bath's emitted table,
+    written out by hand; it does not depend on ``s2``, and a correlated
+    pair is an anti-correlated one at ``v2 = 0``."""
+    if spec.kind not in PAIR_KINDS:
+        return make_source(spec, cutoff)
+    v2 = 0.0 if spec.kind is SourceKind.CORRELATED else spec.v2
+    pairs = {(2, 0): v2 / 2.0, (0, 2): v2 / 2.0, (1, 1): 1.0 - v2}
+    return JointOccupationDistribution((IN_A, IN_B), pairs, cutoff)
+
+
 def test_information_matches_propagated_joint():
     """The dedicated tally and the full channel pipeline agree on the table."""
     cases = (
-        (SourceSpec.correlated(s2=0.01, drop_vacuum=True), 4),
-        (SourceSpec.anti_correlated(s2=0.01, v2=0.87, drop_vacuum=True), 4),
+        (SourceSpec.correlated(s2=0.01), 4),
+        (SourceSpec.anti_correlated(s2=0.01, v2=0.87), 4),
         (SourceSpec.uncorrelated(0.05), 6),
     )
     for spec, cutoff in cases:
-        outcome = propagate(make_source(spec, cutoff), R_HALF, 0.14, ALL_BAR)
+        outcome = propagate(_scored_source(spec, cutoff), R_HALF, 0.14, ALL_BAR)
         via_pipeline = mutual_information_of_joint(_joint_from_outcome(outcome))
         direct = mutual_information(spec, R_HALF, 0.14, cutoff=cutoff).mutual_info_bits
         assert abs(via_pipeline - direct) < 1e-10, spec.kind
@@ -166,22 +173,29 @@ def test_information_matches_propagated_joint():
 _unit = st.floats(0.0, 1.0)
 
 
+# s2 = 0 emits nothing and is refused; subnormal s2 is drawn too
+_pair_s2 = st.floats(0.0, 0.1, exclude_min=True)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
     st.builds(SourceSpec.uncorrelated, st.floats(0.0, 2.0)),
     st.builds(SourceSpec.split_thermal, st.floats(0.0, 2.0)),
-    st.builds(lambda s2: SourceSpec.correlated(s2=s2), st.floats(0.0, 0.1)),
-    st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2),
-              st.floats(0.0, 0.1), _unit),
-), _unit, _unit, st.integers(2, 8))
-def test_information_matches_propagated_joint_everywhere(spec, r2, eps2, cutoff):
-    """The matrix routing and the channel pipeline agree at any truncation."""
+    st.builds(lambda s2: SourceSpec.correlated(s2=s2), _pair_s2),
+    st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2), _pair_s2, _unit),
+), _unit, _unit, st.integers(2, 8), st.floats(1e-3, 100.0))
+def test_information_matches_propagated_joint_everywhere(spec, r2, eps2, cutoff, s2):
+    """The matrix routing and the channel pipeline agree at any truncation,
+    and a pair bath, scored per emitted pair, reads the same at any ``s2``."""
     r = math.sqrt(r2)
-    state = make_source(spec.with_drop_vacuum() if spec.kind in PAIR_KINDS else spec, cutoff)
     via_pipeline = mutual_information_of_joint(
-        _joint_from_outcome(propagate(state, r, eps2, ALL_BAR)))
+        _joint_from_outcome(propagate(_scored_source(spec, cutoff), r, eps2, ALL_BAR)))
     direct = mutual_information(spec, r, eps2, cutoff=cutoff).mutual_info_bits
     assert abs(via_pipeline - direct) <= 1e-12
+    if spec.kind in PAIR_KINDS:
+        bits = [mutual_information(replace(spec, s2=x), r, eps2, cutoff=cutoff).mutual_info_bits
+                for x in (1e-3, s2)]
+        assert abs(bits[0] - bits[1]) <= 1e-13
 
 
 def test_reported_information_is_the_pre_switch_record():
@@ -192,8 +206,8 @@ def test_reported_information_is_the_pre_switch_record():
     mutual information of the post-switch record.  The pre-switch table is
     exactly the record of a switch pinned to bar.
     """
-    spec = SourceSpec.correlated(s2=0.01, drop_vacuum=True)
-    source = make_source(spec, cutoff=4)
+    spec = SourceSpec.correlated(s2=0.01)
+    source = _scored_source(spec, cutoff=4)
     bar = mutual_information_of_joint(
         _joint_from_outcome(propagate(source, R_HALF, 0.8, ALL_BAR)))
     routed = mutual_information_of_joint(

@@ -38,8 +38,6 @@ def _cfg(**kw):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        _cfg(spec=SourceSpec.correlated(s2=0.01, drop_vacuum=True))
-    with pytest.raises(ValueError):
         _cfg(slots=0)
     with pytest.raises(ValueError):
         _cfg(seed=-1)

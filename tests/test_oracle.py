@@ -53,16 +53,21 @@ def test_oracle_matches_pipeline_on_grid():
                 assert worst <= 1e-12
 
 
-def test_oracle_matches_pipeline_with_drop_vacuum():
-    spec = SourceSpec.correlated(s2=0.01, drop_vacuum=True)
+def _emitted_share(spec):
+    """The share of a pair bath's slots that carry an emission, ``1 - p_vac``."""
+    return 1.0 - make_source(spec).entries[(0, 0)]
+
+
+def test_oracle_matches_pipeline_per_emitted_pair():
+    spec = SourceSpec.correlated(s2=0.01)
     report = enumerate_outcomes(spec, math.sqrt(0.5), 1.0, TABLE_PAIR)
     outcome = propagate(make_source(spec, 4), math.sqrt(0.5), 1.0, TABLE_PAIR)
     compare(report, outcome, tol=1e-12)
-    assert abs(report.delta - 0.5) < 1e-15
+    assert abs(report.delta / _emitted_share(spec) - 0.5) < 1e-15
 
 
 def test_compare_detects_small_perturbations():
-    spec = SourceSpec.correlated(s2=0.01, drop_vacuum=True)
+    spec = SourceSpec.correlated(s2=0.01)
     report = enumerate_outcomes(spec, math.sqrt(0.5), 1.0, TABLE_PAIR)
     outcome = propagate(make_source(spec, 4), math.sqrt(0.5), 1.0, TABLE_PAIR)
     entries = dict(outcome.dist.entries)
@@ -130,27 +135,24 @@ def test_symbolic_pairs_match_enumeration():
     for eps2 in (1.0, 0.6, 0.14):
         for r2 in (0.1, 0.3, 0.5):
             r = math.sqrt(r2)
-            pure = enumerate_outcomes(SourceSpec.correlated(s2=0.01, drop_vacuum=True),
-                                      r, eps2, TABLE_PAIR)
-            assert abs(pure.delta - symbolic_delta_pairs(1.0, r, eps2)) < 1e-12
-            diluted = enumerate_outcomes(SourceSpec.correlated(s2=0.01),
-                                         r, eps2, TABLE_PAIR)
+            spec = SourceSpec.correlated(s2=0.01)
+            diluted = enumerate_outcomes(spec, r, eps2, TABLE_PAIR).delta
+            pure = diluted / _emitted_share(spec)
+            assert abs(pure - symbolic_delta_pairs(1.0, r, eps2)) < 1e-12
             weight = 0.01 / 1.01
-            assert abs(diluted.delta - symbolic_delta_pairs(weight, r, eps2)) < 1e-12
+            assert abs(diluted - symbolic_delta_pairs(weight, r, eps2)) < 1e-12
 
 
 def test_symbolic_anti_pairs_and_visibility_null():
     for r2 in (0.1, 0.3, 0.5):
         r = math.sqrt(r2)
-        report = enumerate_outcomes(
-            SourceSpec.anti_correlated(s2=0.01, v2=0.87, drop_vacuum=True),
-            r, 0.8, TABLE_THERMAL)
+        spec = SourceSpec.anti_correlated(s2=0.01, v2=0.87)
+        report = enumerate_outcomes(spec, r, 0.8, TABLE_THERMAL)
         want = symbolic_delta_pairs(1.0, r, 0.8, visibility_factor=2 * 0.87 - 1)
-        assert abs(report.delta - want) < 1e-12
-        balanced = enumerate_outcomes(
-            SourceSpec.anti_correlated(s2=0.01, v2=0.5, drop_vacuum=True),
-            r, 0.8, TABLE_THERMAL)
-        assert abs(balanced.delta) < 1e-15
+        assert abs(report.delta / _emitted_share(spec) - want) < 1e-12
+        spec = SourceSpec.anti_correlated(s2=0.01, v2=0.5)
+        balanced = enumerate_outcomes(spec, r, 0.8, TABLE_THERMAL)
+        assert abs(balanced.delta / _emitted_share(spec)) < 1e-15
 
 
 def test_lone_photon_component_only_dilutes_the_pairs():
@@ -169,14 +171,16 @@ def test_lone_photon_component_only_dilutes_the_pairs():
 
 
 def test_clicks_vs_kept_joint_reproduces_information_module():
-    for spec in (SourceSpec.correlated(s2=0.01, drop_vacuum=True),
-                 SourceSpec.anti_correlated(s2=0.01, v2=0.87, drop_vacuum=True)):
+    for spec in (SourceSpec.correlated(s2=0.01),
+                 SourceSpec.anti_correlated(s2=0.01, v2=0.87)):
         report = enumerate_outcomes(spec, math.sqrt(0.5), 0.14, ALL_BAR)
         cells = clicks_vs_kept_joint(report)
         top = max(max(kept) for _, kept in cells)
         joint = np.zeros((top + 1, top + 1, 2, 2))
         for ((click_a, click_b), (kept_a, kept_b)), p in cells.items():
             joint[kept_a, kept_b, int(click_a), int(click_b)] += p
+        # the information module scores emitted pairs only
+        joint[0, 0, 0, 0] -= make_source(spec).entries[(0, 0)]
         via_oracle = mutual_information_of_joint(joint)
         direct = mutual_information(spec, math.sqrt(0.5), 0.14, cutoff=4).mutual_info_bits
         assert abs(via_oracle - direct) < 1e-10

@@ -8,6 +8,9 @@ the bath's generating function instead, and is checked against the tables
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +168,22 @@ def test_pair_power_is_symmetric_in_reflectivity(case, r2, eps2):
     lo = expected_power(spec, math.sqrt(r2), eps2, normalization)
     hi = expected_power(spec, math.sqrt(1.0 - r2), eps2, normalization)
     assert abs(lo - hi) <= 1e-12
+
+
+def test_a_failing_property_fails_alone(tmp_path):
+    # after a failing example hypothesis imports its patch writer; the
+    # warnings-as-errors filter must not turn that import into an
+    # INTERNALERROR that hides the example and stops every later test
+    (tmp_path / "test_demo.py").write_text(
+        "from hypothesis import given, strategies as st\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-c", str(config), "--rootdir", ".",
+                          "-p", "no:cacheprovider", "test_demo.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout

@@ -119,10 +119,13 @@ def test_split_bath_yields_zero_imbalance_for_any_single_swap_policy():
             assert abs(p_a - p_b) < 1e-12, (pattern, r2)
 
 
-def test_correlated_drop_vacuum_routing_table():
+#: A heralded pair: the correlated bath given that it emitted.
+PURE_PAIR = JointOccupationDistribution((IN_A, IN_B), {(1, 1): 1.0}, cutoff=4)
+
+
+def test_heralded_pair_routing_table():
     """A heralded pair at r**2 = 1/2 sorts one photon to D_A a quarter of the time."""
-    source = make_source(SourceSpec.correlated(s2=0.01, drop_vacuum=True), cutoff=4)
-    outcome = propagate(source, R_HALF, 1.0, TABLE_PAIR)
+    outcome = propagate(PURE_PAIR, R_HALF, 1.0, TABLE_PAIR)
     # lone Dem_A click with the surviving partner routed across to D_A
     assert abs(outcome.dist.probability((1, 0, 1, 0, 0, 0)) - 0.25) < 1e-15
     p_a, p_b = detector_probs(outcome)
@@ -130,9 +133,8 @@ def test_correlated_drop_vacuum_routing_table():
 
 
 def test_correlated_pipeline_matches_quadratic_law():
-    source = make_source(SourceSpec.correlated(s2=0.01, drop_vacuum=True), cutoff=4)
     for r2 in (0.0, 0.1, 0.25, 0.4, 0.5, 0.75, 1.0):
-        p_a, p_b = detector_probs(propagate(source, math.sqrt(r2), 1.0, TABLE_PAIR))
+        p_a, p_b = detector_probs(propagate(PURE_PAIR, math.sqrt(r2), 1.0, TABLE_PAIR))
         assert abs((p_a - p_b) - 2.0 * r2 * (1.0 - r2)) < 1e-12
 
 

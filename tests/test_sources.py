@@ -1,5 +1,6 @@
 """Tests for the bath catalogue: weights, marginals, exchange symmetry, g2."""
 
+import dataclasses
 import math
 
 import pytest
@@ -34,10 +35,6 @@ def test_source_spec_validation_per_kind():
         SourceSpec(SourceKind.CORRELATED, s2=0.01, v2=0.9)
     with pytest.raises(ValueError):
         SourceSpec(SourceKind.ANTI_CORRELATED, s2=0.01)  # v2 missing
-    with pytest.raises(ValueError):
-        SourceSpec.uncorrelated(0.05).with_drop_vacuum()
-    with pytest.raises(ValueError):
-        SourceSpec(SourceKind.UNCORRELATED, nbar=0.05, drop_vacuum=True)
 
 
 def test_source_spec_keeps_s2_as_given():
@@ -46,6 +43,12 @@ def test_source_spec_keeps_s2_as_given():
     for bad in (-0.01, math.nan, math.inf):
         with pytest.raises(ValueError, match="s2 must be finite"):
             SourceSpec.correlated(s2=bad)
+
+
+def test_spec_holds_only_bath_parameters():
+    # analysis choices (post-selection, say) belong to their readers, not the bath
+    names = {field.name for field in dataclasses.fields(SourceSpec)}
+    assert names == {"kind"}.union(*PARAMETERS.values())
 
 
 def test_parameters_table_names_each_kinds_fields():
@@ -66,13 +69,6 @@ def test_correlated_weights():
     assert abs(math.fsum(w.values()) - 1.0) < 1e-15
 
 
-def test_correlated_drop_vacuum_is_pure_pair():
-    w = _pair_weights(SourceSpec.correlated(s2=0.01, drop_vacuum=True))
-    assert w == {(1, 1): 1.0}
-    # the post-selected table does not depend on s, so s = 0 keeps the limit
-    assert _pair_weights(SourceSpec.correlated(0.0, drop_vacuum=True)) == {(1, 1): 1.0}
-
-
 def test_anti_correlated_weights():
     w = _pair_weights(SourceSpec.anti_correlated(s2=0.01, v2=0.87))
     norm = math.fsum(w.values())
@@ -84,8 +80,9 @@ def test_anti_correlated_weights():
 
 
 def test_anti_correlated_perfect_visibility_has_no_coincidence_pair():
-    w = _pair_weights(SourceSpec.anti_correlated(s2=0.01, v2=1.0, drop_vacuum=True))
-    assert w == {(2, 0): 0.5, (0, 2): 0.5}
+    w = _pair_weights(SourceSpec.anti_correlated(s2=0.01, v2=1.0))
+    assert set(w) == {(0, 0), (2, 0), (0, 2)}
+    assert w[(2, 0)] == w[(0, 2)] == 0.005 / 1.01
 
 
 def test_make_source_uncorrelated_is_product_of_thermals():
