@@ -26,15 +26,18 @@ switch only relabels the arms.
 
 A response dead window freezes the switch for ``dead_window_slots`` slots
 after an effective monitor click, in the state that click chose.  Only
-dead-window runs need slot positions.  They draw the sorted positions of
-the occupied slots after the cells and find the effective clicks without a
-per-click loop.  Each click's successor is the first click at least
-``window + 1`` slots after it, one ``searchsorted`` for all clicks; the
-effective clicks are the chain of successors from the first click free of
-the held window, marked by pointer doubling (Wyllie, 1979) in about
-``log2(clicks)`` vectorized steps.  The last effective click is carried
-into the next block, so a window that crosses a block boundary keeps its
-held state.
+dead-window runs need slot positions.  They draw the positions of the
+occupied slots after the cells, sort them, and find the effective clicks
+without a per-click loop.  Each click's successor is the first click at
+least ``window + 1`` slots after it, one ``searchsorted`` for all clicks:
+its cost follows the clicks, where a count of clicks over the block would
+cost a whole block's pass even in weak light.  The effective clicks are the
+chain of successors from the first click free of the held window.  Pointer
+doubling (Wyllie, 1979) builds it in about ``log2(effective clicks)``
+vectorized steps, each appending the chain's image under the successor
+table and then composing the table with itself.  The last effective click
+is carried into the next block, so a window that crosses a block boundary
+keeps its held state.
 
 Determinism: a run is a pure function of its config.  Block ``i`` consumes
 ``SeedSequence(seed, spawn_key=(i,))``, the child ``spawn`` would give it,
@@ -215,10 +218,11 @@ def _arm_clicks(rng: np.random.Generator, n: np.ndarray, survival: float, r2: fl
     of cells 0-2, the cell being ``2 * (output click) + (monitor click)``.
     """
     no_click = (1.0 - _no_click_points(survival, r2)) ** np.arange(n.max() + 1)[:, None]
-    none, no_output, not_both = np.cumsum(no_click @ _CELLS.T, axis=1)[n, :3].T
+    none, no_output, not_both = np.cumsum(no_click @ _CELLS.T, axis=1).T[:3].copy()
     x = rng.random(n.size)
-    output = x >= no_output
-    return output, (x >= none) & ~output | (x >= not_both)
+    output = x >= no_output.take(n)
+    # cells 1 and 3 hold the monitor click: past one or three thresholds
+    return output, (x >= none.take(n)) ^ output ^ (x >= not_both.take(n))
 
 
 def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
@@ -239,25 +243,25 @@ def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
     """
     last, held = carry
     clicks = np.flatnonzero(clicked)
-    click_slots = slots[clicks]
+    click_slots = slots.take(clicks)
     # each click's successor is the first click free of its window, or the
-    # sentinel clicks.size; the effective clicks are the chain of successors
-    # from the first free click, found by pointer doubling
+    # sentinel clicks.size
     jump = np.append(np.searchsorted(click_slots, click_slots + window + 1), clicks.size)
     first = np.searchsorted(click_slots, last + window + 1)
-    on = np.zeros(clicks.size + 1, dtype=bool)
-    on[first] = True
+    # the effective clicks are the chain of successors from the first free
+    # click; pointer doubling extends it by its image under the doubled jump
+    chain = np.array([first])
     while jump[first] != clicks.size:
-        on[jump[on]] = True
-        jump = jump[jump]
-    effective = clicks[on[:-1]]
-    eff_slots = np.concatenate(([last], slots[effective]))
-    eff_states = np.concatenate(([held], own[effective]))
-    is_effective = np.zeros(slots.size, dtype=np.intp)
-    is_effective[effective] = 1
-    latest = np.cumsum(is_effective)  # index 0 is the carried click
-    frozen = slots <= eff_slots[latest] + window
-    states = np.where(frozen, eff_states[latest], own)
+        chain = np.concatenate((chain, jump.take(chain)))
+        jump = jump.take(jump)
+    effective = clicks.take(chain[chain < clicks.size])
+    eff_slots = np.concatenate(([last], slots.take(effective)))
+    eff_states = np.concatenate(([held], own.take(effective)))
+    latest = np.zeros(slots.size, dtype=np.intp)  # index 0 is the carried click
+    latest[effective] = 1
+    np.cumsum(latest, out=latest)
+    frozen = slots <= (eff_slots + window).take(latest)
+    states = own ^ (frozen & (eff_states.take(latest) ^ own))  # frozen: held state
     carry = (int(eff_slots[-1]), bool(eff_states[-1]))
     return states, clicks.size - effective.size, carry
 
@@ -269,7 +273,7 @@ def run(config: RunConfig) -> RunResult:
         mode, canonical_policy(spec.kind))
     r2 = config.r * config.r
     survival_a, survival_b = (config.eps2 * e for e in config.arm_efficiency)
-    swap_table = policy.crosses()
+    crosses = policy.crosses().ravel()  # at 2 * (A clicked) + (B clicked)
     p_vac, draw_occupied = _occupied_sampler(spec)
     window = config.dead_window_slots
 
@@ -289,19 +293,21 @@ def run(config: RunConfig) -> RunResult:
         kept_a, click_a = _arm_clicks(rng, n_a, survival_a, r2)
         kept_b, click_b = _arm_clicks(rng, n_b, survival_b, r2)
 
-        swap = swap_table[click_a.astype(np.intp), click_b.astype(np.intp)]
+        swap = crosses.take(2 * click_a + click_b)
         if window:
-            slots = base + np.sort(rng.choice(size, k, replace=False))
+            # a block's offsets fit int32, which sorts about twice as fast;
+            # adding the base as an int64 widens them back
+            offsets = np.sort(rng.choice(size, k, replace=False).astype(np.int32))
             swap, lost, carry = _dead_window_states(
-                slots, click_a | click_b, swap, window, carry)
+                offsets + np.int64(base), click_a | click_b, swap, window, carry)
             suppressed += lost
-        out_a = np.where(swap, kept_b, kept_a)
-        out_b = np.where(swap, kept_a, kept_b)
-
-        tally_a += int(np.count_nonzero(out_a))
-        tally_b += int(np.count_nonzero(out_b))
-        # the switch permutes the kept photons, so these need no routing
-        single_sided += int(np.count_nonzero(kept_a ^ kept_b))
+        # the switch permutes the kept photons: it moves one between the
+        # outputs only where exactly one arm kept it
+        single = kept_a ^ kept_b
+        moved = swap & single
+        tally_a += int(np.count_nonzero(kept_a ^ moved))
+        tally_b += int(np.count_nonzero(kept_b ^ moved))
+        single_sided += int(np.count_nonzero(single))
         coincidences += int(np.count_nonzero(kept_a & click_a)
                             + np.count_nonzero(kept_a & click_b)
                             + np.count_nonzero(kept_b & click_a)

@@ -80,6 +80,9 @@ _blocks = st.lists(st.tuples(st.integers(1, 400), st.floats(0.0, 1.0), st.floats
 @given(_blocks, st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
 @example([(300, 0.0, 0.5), (300, 1.0, 1.0), (300, 1.0, 1.0)], 1, 0)  # empty, then every slot clicks
 @example([(50, 1.0, 1.0), (50, 0.0, 0.0), (50, 1.0, 1.0)], 200, 1)  # a window over whole blocks
+# every slot clicks, so the effective clicks fall on slots 0, 4 and 8: the last
+# sits on the block's final slot and its window reaches into the next block
+@example([(9, 1.0, 1.0), (9, 1.0, 1.0), (9, 0.5, 1.0)], 3, 2)
 def test_dead_window_walk_matches_per_slot_loop_on_random_blocks(blocks, window, seed):
     """States, suppressed clicks and carries, block after block, against the loop."""
     rng = np.random.default_rng(seed)

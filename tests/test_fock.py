@@ -79,12 +79,21 @@ def test_single_mode_thermal_tail_bookkeeping():
 
 
 def test_distribution_rejects_bad_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"occupation \(5,\) exceeds cutoff 4"):
         JointOccupationDistribution(("a",), {(5,): 1.0}, cutoff=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"occupation \(0, 0\) does not match 1 modes"):
         JointOccupationDistribution(("a",), {(0, 0): 1.0}, cutoff=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"negative occupation in \(-1,\)"):
         JointOccupationDistribution(("a",), {(-1,): 1.0}, cutoff=4)
+    with pytest.raises(ValueError, match=r"negative probability -0.5 at \(1,\)"):
+        JointOccupationDistribution(("a",), {(0,): 1.5, (1,): -0.5}, cutoff=4)
+    # the first bad entry is named, by the first check it fails
+    with pytest.raises(ValueError, match=r"negative occupation in \(-1, 9\)"):
+        JointOccupationDistribution(("a", "b"), {(0, 0): 0.5, (-1, 9): 0.5, (7,): 0.0},
+                                    cutoff=4)
+    with pytest.raises(ValueError, match=r"occupation \(7,\) does not match 2 modes"):
+        JointOccupationDistribution(("a", "b"), {(0, 0): 0.5, (7,): 0.0, (-1, 9): 0.5},
+                                    cutoff=4)
     with pytest.raises(ValueError):
         JointOccupationDistribution(("a",), {(0,): 0.5}, cutoff=4)
     with pytest.raises(ValueError):

@@ -73,17 +73,35 @@ def test_g2_bytes_are_pinned(flags, capsys):
     assert _stdout_digest(["g2", *flags], capsys) == G2_DIGESTS[flags]
 
 
-def test_stream_is_pinned_per_version():
-    """Tallies of one small run per weak bath and mode, hashed."""
-    baths = (SourceSpec.uncorrelated(0.05), SourceSpec.split_thermal(0.05),
-             SourceSpec.correlated(s2=0.01), SourceSpec.anti_correlated(s2=0.01, v2=0.87))
+#: Stream recipes: the weak baths at window 5, and bright baths over two full
+#: blocks and a partial one, with unequal arms and windows from 1 to 100.
+STREAM_RECIPES = {
+    "weak": dict(
+        baths=(SourceSpec.uncorrelated(0.05), SourceSpec.split_thermal(0.05),
+               SourceSpec.correlated(s2=0.01),
+               SourceSpec.anti_correlated(s2=0.01, v2=0.87)),
+        runs=(("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 5)),
+        config=dict(r=math.sqrt(0.3), eps2=0.7, slots=50_000),
+        digests={3: "f0097c196b3c2a04"}),
+    "bright": dict(
+        baths=(SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5)),
+        runs=(("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 1),
+              ("feed_forward", 10), ("feed_forward", 100)),
+        config=dict(r=math.sqrt(0.4), eps2=0.75, slots=150_000, arm_efficiency=(1.0, 0.8)),
+        digests={3: "a51439b7caee5430"}),
+}
+
+
+@pytest.mark.parametrize("recipe", sorted(STREAM_RECIPES))
+def test_stream_is_pinned_per_version(recipe):
+    """Tallies of one run per bath and mode of a recipe, hashed."""
+    pin = STREAM_RECIPES[recipe]
     tallies = []
-    for spec in baths:
-        for mode, window in (("bar", 0), ("cross", 0), ("feed_forward", 0),
-                             ("feed_forward", 5)):
-            res = run(RunConfig(spec=spec, r=math.sqrt(0.3), eps2=0.7, slots=50_000,
-                                seed=20210720, mode=mode, dead_window_slots=window))
+    for spec in pin["baths"]:
+        for mode, window in pin["runs"]:
+            res = run(RunConfig(spec=spec, seed=20210720, mode=mode,
+                                dead_window_slots=window, **pin["config"]))
             tallies.append([spec.kind.value, mode, window, res.n_a, res.n_b,
                             res.coincidences, res.lost_to_dead_window])
     digest = hashlib.sha256(json.dumps(tallies).encode()).hexdigest()[:16]
-    assert digest == {3: "f0097c196b3c2a04"}[STREAM_VERSION]
+    assert digest == pin["digests"][STREAM_VERSION]
