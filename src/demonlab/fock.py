@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -108,25 +107,15 @@ class JointOccupationDistribution:
         if self.lost_mass < -MASS_TOL:
             raise ValueError(f"lost_mass must be >= 0, got {self.lost_mass!r}")
         k = len(labels)
-        occs = list(self.entries)
-        n = len(occs)
-        # entries up to the first of the wrong length form a table
-        short = np.flatnonzero(np.fromiter(map(len, occs), dtype=np.intp, count=n) != k)
-        m = int(short[0]) if short.size else n
-        table = np.fromiter(chain.from_iterable(occs[:m]), dtype=np.int64, count=m * k)
-        table = table.reshape(m, k)
-        probs = np.fromiter(self.entries.values(), dtype=float, count=n)[:m]
-        bad = (table < 0).any(axis=1) | (table.sum(axis=1) > self.cutoff) | (probs < -MASS_TOL)
-        i = int(np.argmax(bad)) if bad.any() else m
-        if i < n:  # refuse the first bad entry, naming the first check it fails
-            occ = occs[i]
-            if i == m:
+        for occ, p in self.entries.items():
+            if len(occ) != k:
                 raise ValueError(f"occupation {occ} does not match {k} modes")
-            if any(x < 0 for x in occ):
+            if any(n < 0 for n in occ):
                 raise ValueError(f"negative occupation in {occ}")
             if sum(occ) > self.cutoff:
                 raise ValueError(f"occupation {occ} exceeds cutoff {self.cutoff}")
-            raise ValueError(f"negative probability {self.entries[occ]!r} at {occ}")
+            if p < -MASS_TOL:
+                raise ValueError(f"negative probability {p!r} at {occ}")
         total = math.fsum(self.entries.values()) + self.lost_mass
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probability mass {total!r} is not 1")

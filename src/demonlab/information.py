@@ -3,10 +3,11 @@
 The joint ``p(n_A, n_B, m_A, m_B)`` pairs the photon numbers ``(n_A, n_B)``
 kept in the arms after the taps with the binary click pattern ``(m_A, m_B)``
 of the monitor detectors.  The arms do not interact before the taps, so the
-routing factorizes per arm: with ``W`` the bath and ``R[m][n, kept]`` one
-arm's loss and tap routing from ``fock.binomial_rows``, the clicks
-``(m_A, m_B)`` have the joint ``R[m_A].T @ W @ R[m_B]``.  Mutual information
-is reported in bits, at most 2 since the clicks are binary.
+routing factorizes per arm: with ``W`` the bath's matrix from
+``sources.bath_table`` and ``R[m][n, kept]`` one arm's loss and tap routing
+from ``fock.binomial_rows``, the clicks ``(m_A, m_B)`` have the joint
+``R[m_A].T @ W @ R[m_B]``.  Mutual information is reported in bits, at most
+2 since the clicks are binary.
 
 A pair bath is scored per emitted pair, as its power curves are normalized: ``W``
 drops the vacuum, leaving a table the same at any ``s2 > 0``; ``s2 = 0`` is refused.
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fock import as_amplitude, as_efficiency, binomial_rows
-from .sources import PAIR_KINDS, SourceSpec, make_source
+from .sources import PAIR_KINDS, SourceSpec, bath_table
 
 DEFAULT_INFO_CUTOFF = 12
 
@@ -50,15 +51,14 @@ def mutual_information(spec: SourceSpec, r, eps2, cutoff: int | None = None) -> 
         if spec.s2 == 0.0:
             raise ValueError(f"s2: the {spec.kind.value} bath at s2 = 0 emits no pair to condition on")
         spec = replace(spec, s2=1.0)
-    source = make_source(spec, DEFAULT_INFO_CUTOFF if cutoff is None else cutoff)
-    while cutoff is None and source.lost_mass > 1e-13:
-        if source.cutoff >= MAX_EXACT_CUTOFF:
-            raise ValueError(f"cutoff: {source.lost_mass:.2g} of the {spec.kind.value} "
+    truncation = DEFAULT_INFO_CUTOFF if cutoff is None else cutoff
+    bath, lost = bath_table(spec, truncation)
+    while cutoff is None and lost > 1e-13:
+        if truncation >= MAX_EXACT_CUTOFF:
+            raise ValueError(f"cutoff: {lost:.2g} of the {spec.kind.value} "
                              f"source lies above {MAX_EXACT_CUTOFF} photons")
-        source = make_source(spec, 2 * source.cutoff)
-    n_a, n_b = np.array(list(source.entries)).T
-    bath = np.zeros((max(n_a.max(), n_b.max()) + 1,) * 2)  # up to the fullest arm
-    bath[n_a, n_b] = list(source.entries.values())
+        truncation *= 2
+        bath, lost = bath_table(spec, truncation)
     if spec.kind in PAIR_KINDS:  # condition on an emission
         bath[0, 0] = 0.0
         bath /= bath.sum()

@@ -70,7 +70,7 @@ import numpy as np
 from .fock import as_amplitude, as_efficiency
 from .analytics import Normalization, as_normalization
 from .protocol import _CELLS, ALL_BAR, ALL_CROSS, _no_click_points, canonical_policy
-from .sources import PAIR_KINDS, SourceKind, SourceSpec, _pair_weights
+from .sources import PAIR_KINDS, SourceKind, SourceSpec, bath_table
 
 BLOCK = 1 << 16
 
@@ -193,16 +193,15 @@ def _occupied_sampler(spec: SourceSpec):
             return n_a, tot - n_a
 
         return p, draw
-    weights = _pair_weights(spec)
-    p_vac = weights.pop((0, 0))
-    occs = sorted(weights)
-    if not occs:  # s2 = 0: every slot is vacuum and nothing is drawn
+    table, _ = bath_table(spec, 2)
+    p_vac = float(table[0, 0])
+    table[0, 0] = 0.0
+    arr_a, arr_b = np.nonzero(table)  # row-major: the occupied pairs in sorted order
+    if not arr_a.size:  # s2 = 0: every slot is vacuum and nothing is drawn
         return p_vac, None
-    cum = np.cumsum([weights[o] for o in occs])
+    cum = np.cumsum(table[arr_a, arr_b])
     cum /= cum[-1]
     cum[-1] = 1.0
-    arr_a = np.array([o[0] for o in occs], dtype=np.int64)
-    arr_b = np.array([o[1] for o in occs], dtype=np.int64)
 
     def draw(rng, k):
         idx = np.searchsorted(cum, rng.random(k), side="right")

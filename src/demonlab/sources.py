@@ -15,13 +15,16 @@ and ``In_B``:
   ``(1,1)`` leakage entirely.
 
 Every source keeps its vacuum; a spec holds the bath's parameters only, and
-conditioning a pair bath on an emission is left to its reader.
+conditioning a pair bath on an emission is left to its reader.  Each law is
+written once, as the matrix ``bath_table``; ``make_source`` is its dict view.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .fock import (
     DEFAULT_CUTOFF,
@@ -100,38 +103,44 @@ class SourceSpec:
         return cls(SourceKind.ANTI_CORRELATED, s2=s2, v2=v2)
 
 
-def _pair_weights(spec: SourceSpec) -> dict[tuple[int, int], float]:
-    s2, v2 = spec.s2, spec.v2
-    if spec.kind is SourceKind.CORRELATED:
-        raw = {(1, 1): s2}
-    else:
-        raw = {(2, 0): s2 * v2 / 2.0, (0, 2): s2 * v2 / 2.0, (1, 1): s2 * (1.0 - v2)}
-    raw[(0, 0)] = 1.0
-    total = math.fsum(raw.values())
-    return {occ: w / total for occ, w in raw.items() if w > 0.0}
+def bath_table(spec: SourceSpec, cutoff: int) -> tuple[np.ndarray, float]:
+    """``W[n_A, n_B]``, zero above ``n_A + n_B = cutoff``, and the mass left out;
+    a pair bath's table stops at its largest pair and leaves nothing out."""
+    if spec.kind in PAIR_KINDS:
+        if cutoff < 2:
+            raise ValueError("pair sources need cutoff >= 2")
+        if spec.kind is SourceKind.CORRELATED:
+            table = np.array([[1.0, 0.0], [0.0, spec.s2]])
+        else:
+            bunched = spec.s2 * spec.v2 / 2.0
+            table = np.array([[1.0, 0.0, bunched], [0.0, spec.s2 * (1.0 - spec.v2), 0.0],
+                              [bunched, 0.0, 0.0]])
+        return table / math.fsum(table.ravel().tolist()), 0.0
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    split = spec.kind is SourceKind.SPLIT_THERMAL
+    nbar = 2.0 * spec.nbar if split else spec.nbar  # the split bath's shared mode
+    # at Python-int k: an int64 exponent can move the power by an ulp
+    pmf = np.array([thermal_pmf(nbar, k) for k in range(cutoff + 1)])
+    n = np.arange(cutoff + 1)
+    tot = np.add.outer(n, n)
+    inside = tot <= cutoff
+    if not split:
+        table = np.where(inside, np.outer(pmf, pmf), 0.0)
+        return table, max(1.0 - math.fsum(table.ravel().tolist()), 0.0)
+    # the shared mode's photons each go to In_A with chance 1/2
+    tot = np.minimum(tot, cutoff)  # cells past the cutoff are zeroed
+    table = np.where(inside, pmf[tot] * binomial_rows(cutoff, 0.5)[tot, n[:, None]], 0.0)
+    return table, (nbar / (1.0 + nbar)) ** (cutoff + 1)
 
 
 def make_source(spec: SourceSpec,
                 cutoff: int = DEFAULT_CUTOFF) -> JointOccupationDistribution:
-    """Build the two-mode input distribution over ``(In_A, In_B)``."""
-    if spec.kind is SourceKind.UNCORRELATED:
-        pmf = [thermal_pmf(spec.nbar, n) for n in range(cutoff + 1)]
-        entries = {(a, b): pmf[a] * pmf[b]
-                   for a in range(cutoff + 1) for b in range(cutoff + 1 - a)}
-        lost = 1.0 - math.fsum(entries.values())
-        return JointOccupationDistribution((IN_A, IN_B), entries, cutoff, max(lost, 0.0))
-    if spec.kind is SourceKind.SPLIT_THERMAL:
-        total_nbar = 2.0 * spec.nbar
-        # the shared mode's photons each go to In_A with chance 1/2
-        pmf = [thermal_pmf(total_nbar, tot) for tot in range(cutoff + 1)]
-        halves = binomial_rows(cutoff, 0.5).tolist()
-        entries = {(k, tot - k): pmf[tot] * halves[tot][k]
-                   for tot in range(cutoff + 1) for k in range(tot + 1)}
-        lost = (total_nbar / (1.0 + total_nbar)) ** (cutoff + 1)
-        return JointOccupationDistribution((IN_A, IN_B), entries, cutoff, lost)
-    if cutoff < 2:
-        raise ValueError("pair sources need cutoff >= 2")
-    return JointOccupationDistribution((IN_A, IN_B), _pair_weights(spec), cutoff)
+    """The non-zero cells of ``bath_table`` as a distribution over ``(In_A, In_B)``."""
+    table, lost = bath_table(spec, cutoff)
+    n_a, n_b = np.nonzero(table)
+    entries = dict(zip(zip(n_a.tolist(), n_b.tolist()), table[n_a, n_b].tolist()))
+    return JointOccupationDistribution((IN_A, IN_B), entries, cutoff, lost)
 
 
 def generating_function_minus_one(spec: SourceSpec, u, v):
@@ -147,5 +156,7 @@ def generating_function_minus_one(spec: SourceSpec, u, v):
         return -s / (1.0 + s)
     def less_one(x, n):  # (1-x)**n - 1, summed so that nothing cancels
         return -x * sum((1.0 - x) ** k for k in range(n))
+    table, _ = bath_table(spec, 2)
+    n_a, n_b = np.nonzero(table)
     return sum(w * (less_one(u, a) * (1.0 - v) ** b + less_one(v, b))
-               for (a, b), w in _pair_weights(spec).items())
+               for a, b, w in zip(n_a.tolist(), n_b.tolist(), table[n_a, n_b].tolist()))

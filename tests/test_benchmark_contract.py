@@ -122,6 +122,16 @@ def test_source_constructors_the_benchmark_calls(spec, kind, fields):
     assert spec == SourceSpec(kind, **fields)
 
 
+@pytest.mark.parametrize("spec", [
+    SourceSpec.uncorrelated(0.05), SourceSpec.split_thermal(0.05),
+    SourceSpec.correlated(s2=0.01), SourceSpec.anti_correlated(s2=0.01, v2=0.87),
+], ids=lambda spec: spec.kind.value)
+def test_occupied_fraction_reads_the_engines_vacuum(spec):
+    # run.py's occupied_frac takes P(vacuum) from make_source at cutoff 2
+    read = make_source(spec, 2).entries.get((0, 0), 0.0)
+    assert read == montecarlo._occupied_sampler(spec)[0]
+
+
 def test_run_sweep_calls_the_harness_global_measure_power():
     # the benchmark times each cell by rebinding this module global
     assert harness.measure_power is montecarlo.measure_power

@@ -1,5 +1,6 @@
-"""Pinned SHA-256 digests of the preset reports, of ``info`` on the weak baths,
-of ``g2`` on both stream models, and of the event engine's random stream.
+"""Pinned SHA-256 digests of the preset reports, of ``info`` on weak and bright
+baths, of ``g2`` on both stream models, of the baths' dict tables, and of the
+event engine's random stream.
 
 A change meant to keep every output byte must leave these digests alone; a
 change that moves an output on purpose updates the digest and says why.  A
@@ -14,7 +15,7 @@ import pytest
 
 from demonlab.cli import main
 from demonlab.montecarlo import STREAM_VERSION, RunConfig, run
-from demonlab.sources import SourceSpec
+from demonlab.sources import SourceSpec, make_source
 
 PRESET_DIGESTS = {
     ("fig4a", "csv"): "71398c8885331a01d97eb9b8bf52d317154a275d5bfbfddaf472e4e3645de56a",
@@ -41,6 +42,11 @@ INFO_DIGESTS = {
         "5f18193a15117ecc793df3dbe85028540bc4adfa9913b5c71d9280a16e5a4b2a",
     ("--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87"):
         "1e5db604dca8c87e0d65a830e14cf5f2310931f2bc60f16b1ac2acb6c447f24d",
+    # bright baths: the cutoff search runs on to 48-192 photons
+    ("--kind", "split-thermal", "--nbar", "2"):
+        "b9a7127c16e748c208d81bc886d4ab127ad218e15971bdfe4e10888e66e5e0fb",
+    ("--kind", "uncorrelated", "--nbar", "5", "--r2", "0.4", "--eps2", "0.75"):
+        "62261a37d02b714617bffc289e52b050b52e809f7a6ed0706e1f59c39ab98f4c",
 }
 
 # default slots (1e6) and delays (0, 1, 2, 5, 10, 20)
@@ -71,6 +77,18 @@ def test_info_bytes_are_pinned(flags, capsys):
 @pytest.mark.parametrize("flags", sorted(G2_DIGESTS))
 def test_g2_bytes_are_pinned(flags, capsys):
     assert _stdout_digest(["g2", *flags], capsys) == G2_DIGESTS[flags]
+
+
+def test_source_tables_are_pinned():
+    """``make_source``'s cells and lost mass, sorted by key, on all four kinds of bath."""
+    digest = hashlib.sha256()
+    for spec in (SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5),
+                 SourceSpec.correlated(s2=0.01),
+                 SourceSpec.anti_correlated(s2=0.01, v2=0.87)):
+        for cutoff in (2, 6, 40):
+            source = make_source(spec, cutoff)
+            digest.update(repr((sorted(source.entries.items()), source.lost_mass)).encode())
+    assert digest.hexdigest()[:16] == "dc9e421f9a0a9ef3"
 
 
 #: Stream recipes: the weak baths at window 5, and bright baths over two full

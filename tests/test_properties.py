@@ -31,7 +31,7 @@ from demonlab.protocol import (
     expected_power,
     propagate,
 )
-from demonlab.sources import PAIR_KINDS, SourceSpec, make_source
+from demonlab.sources import PAIR_KINDS, SourceSpec, bath_table, make_source
 
 _unit = st.floats(0.0, 1.0)
 
@@ -59,6 +59,31 @@ def baths(least: float = 0.0, brightest: float = 0.2):
 policies = st.integers(0, 15).map(lambda bits: Policy({
     pattern: SwitchState.CROSS if bits >> i & 1 else SwitchState.BAR
     for i, pattern in enumerate(ALL_PATTERNS)}))
+
+
+#: The four baths over the range the exact layer takes, subnormal s2 included.
+any_baths = st.one_of(
+    st.builds(SourceSpec.uncorrelated, st.floats(0.0, 12.0)),
+    st.builds(SourceSpec.split_thermal, st.floats(0.0, 12.0)),
+    st.builds(lambda s2: SourceSpec.correlated(s2=s2), st.floats(0.0, 1e3)),
+    st.builds(lambda s2, v2: SourceSpec.anti_correlated(s2=s2, v2=v2),
+              st.floats(0.0, 1e3), _unit),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_baths, st.integers(2, 384))
+def test_bath_table_is_a_truncated_law(spec, cutoff):
+    """``mutual_information`` reads the table unvalidated; ``make_source``,
+    which validates, holds exactly its non-zero cells."""
+    table, lost = bath_table(spec, cutoff)
+    n_a, n_b = np.indices(table.shape)
+    assert np.all(table >= 0.0) and lost >= 0.0
+    assert np.all(table[n_a + n_b > cutoff] == 0.0)
+    assert abs(math.fsum(table.ravel().tolist()) + lost - 1.0) <= 1e-9
+    n_a, n_b = np.nonzero(table)
+    cells = dict(zip(zip(n_a.tolist(), n_b.tolist()), table[n_a, n_b].tolist()))
+    assert make_source(spec, cutoff).entries == cells
 
 
 @settings(max_examples=60, deadline=None)

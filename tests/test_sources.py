@@ -13,7 +13,7 @@ from demonlab.sources import (
     PARAMETERS,
     SourceKind,
     SourceSpec,
-    _pair_weights,
+    bath_table,
     make_source,
 )
 
@@ -63,26 +63,27 @@ def test_parameters_table_names_each_kinds_fields():
 
 
 def test_correlated_weights():
-    w = _pair_weights(SourceSpec.correlated(s2=0.01))
-    assert abs(w[(0, 0)] - 1.0 / 1.01) < 1e-15
-    assert abs(w[(1, 1)] - 0.01 / 1.01) < 1e-15
-    assert abs(math.fsum(w.values()) - 1.0) < 1e-15
+    w, lost = bath_table(SourceSpec.correlated(s2=0.01), 2)
+    assert lost == 0.0
+    assert abs(w[0, 0] - 1.0 / 1.01) < 1e-15
+    assert abs(w[1, 1] - 0.01 / 1.01) < 1e-15
+    assert abs(math.fsum(w.ravel().tolist()) - 1.0) < 1e-15
 
 
 def test_anti_correlated_weights():
-    w = _pair_weights(SourceSpec.anti_correlated(s2=0.01, v2=0.87))
-    norm = math.fsum(w.values())
+    w, _ = bath_table(SourceSpec.anti_correlated(s2=0.01, v2=0.87), 2)
+    norm = math.fsum(w.ravel().tolist())
     assert abs(norm - 1.0) < 1e-15
-    assert abs(w[(2, 0)] - w[(0, 2)]) < 1e-18
+    assert abs(w[2, 0] - w[0, 2]) < 1e-18
     # bunched to unbunched weight ratio is v2 / (1 - v2)
-    ratio = (w[(2, 0)] + w[(0, 2)]) / w[(1, 1)]
+    ratio = (w[2, 0] + w[0, 2]) / w[1, 1]
     assert abs(ratio - 0.87 / 0.13) < 1e-10
 
 
 def test_anti_correlated_perfect_visibility_has_no_coincidence_pair():
-    w = _pair_weights(SourceSpec.anti_correlated(s2=0.01, v2=1.0))
-    assert set(w) == {(0, 0), (2, 0), (0, 2)}
-    assert w[(2, 0)] == w[(0, 2)] == 0.005 / 1.01
+    w, _ = bath_table(SourceSpec.anti_correlated(s2=0.01, v2=1.0), 2)
+    assert set(zip(*w.nonzero())) == {(0, 0), (2, 0), (0, 2)}
+    assert w[2, 0] == w[0, 2] == 0.005 / 1.01
 
 
 def test_make_source_uncorrelated_is_product_of_thermals():
