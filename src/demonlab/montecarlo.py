@@ -5,7 +5,11 @@ either arm.  At the paper's operating points 91-99% of slots are empty, and
 an empty slot touches no tally, so the engine never draws one.  Each block
 of ``BLOCK`` slots draws its occupied count ``k ~ Binomial(size, 1 - p_vac)``
 and then ``k`` input pairs from the bath's law conditioned on not being
-vacuum.
+vacuum.  A thermal count of mean ``m`` is one standard exponential ``E``
+inverted, ``floor(E / log1p(1/m))``.  The split bath's balanced splitter
+gives each photon of the shared mode one fair bit, so arm A's count is the
+number of set bits among the low ``tot`` bits of one random 64-bit word;
+a slot of more than 64 photons takes a binomial instead.
 
 The detectors only click, so an occupied arm is drawn straight into one of
 four cells, ``2 * (output click) + (monitor click)``.  Each of its ``n``
@@ -62,6 +66,7 @@ Counting conventions, chosen to mirror how the hardware is read out:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -88,15 +93,24 @@ MAX_THERMAL_NBAR = BLOCK / math.log(BLOCK)
 BALANCE_MAX_ITERS = 40
 
 #: Version of the random stream a seed yields; recorded in every result.
-STREAM_VERSION = 3
+STREAM_VERSION = 4
 
 MIN_G2_SLOTS = 100_000
+
+_ONES = np.uint64(2 ** 64 - 1)
 
 
 def _check_brightness(spec: SourceSpec) -> None:
     if spec.nbar is not None and spec.nbar > MAX_THERMAL_NBAR:
         raise ValueError(f"nbar {spec.nbar!r} exceeds the simulation bound "
                          f"{MAX_THERMAL_NBAR:.0f} (BLOCK / ln(BLOCK))")
+
+
+def _as_count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; a float or a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+    return int(value)
 
 
 class RunMode(str, Enum):
@@ -130,16 +144,18 @@ class RunConfig:
         object.__setattr__(self, "eps2", as_efficiency(self.eps2))
         object.__setattr__(self, "mode", RunMode(self.mode))
         _check_brightness(self.spec)
-        if self.slots < 1:
-            raise ValueError("slots must be >= 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        object.__setattr__(self, "slots", _as_count("slots", self.slots, 1))
+        seed = self.seed
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or not 0 <= seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "seed", int(seed))
         pair = tuple(float(x) for x in self.arm_efficiency)
         if len(pair) != 2 or not all(0.0 <= x <= 1.0 for x in pair):
             raise ValueError("arm_efficiency must be two values in [0, 1]")
         object.__setattr__(self, "arm_efficiency", pair)
-        if self.dead_window_slots < 0:
-            raise ValueError("dead_window_slots must be >= 0")
+        object.__setattr__(self, "dead_window_slots",
+                           _as_count("dead_window_slots", self.dead_window_slots, 0))
         if self.mode is not RunMode.FEED_FORWARD and self.dead_window_slots:
             raise ValueError(f"dead_window_slots applies to feed-forward runs, "
                              f"not to {self.mode.value}")
@@ -166,30 +182,54 @@ class RunResult:
         return d
 
 
+def _thermal_counts(rng: np.random.Generator, mean: float, k: int) -> np.ndarray:
+    """``k`` thermal counts of mean ``mean > 0``, each ``floor(E / log1p(1/mean))``.
+
+    ``E`` is a standard exponential, so a count is at least ``j`` with chance
+    ``(mean / (1 + mean))**j``: the geometric law, by inversion.
+    """
+    return (rng.standard_exponential(k) / math.log1p(1.0 / mean)).astype(np.int64)
+
+
 def _occupied_sampler(spec: SourceSpec):
     """The bath's vacuum probability, and a draw of occupied input pairs.
 
     ``draw(rng, k)`` returns ``k`` pairs ``(n_a, n_b)`` from the bath's law
-    conditioned on at least one photon.
+    conditioned on at least one photon; a thermal count so conditioned is 1
+    plus an unconditioned one.  The uncorrelated bath draws which arm is
+    occupied, its count, then the other arm's.  The split bath draws the
+    shared mode's count ``tot``, one 64-bit word of splitter bits per slot,
+    then ``Binomial(tot, 1/2)`` for the slots past 64 photons.  A pair bath
+    draws one cell of its table.
     """
     if spec.kind is SourceKind.UNCORRELATED:
-        p = 1.0 / (1.0 + spec.nbar)  # geometric success probability, 1 - q
+        nbar = spec.nbar
+        p = 1.0 / (1.0 + nbar)  # an arm's vacuum probability
         q = 1.0 - p
 
         def draw(rng, k):
             # P(arm A occupied | not vacuum) = q / (1 - (1 - q)**2)
             a_occupied = rng.random(k) < 1.0 / (2.0 - q)
-            lead = rng.geometric(p, k)  # thermal conditioned on >= 1
-            other = rng.geometric(p, k) - 1
-            return np.where(a_occupied, lead, 0), np.where(a_occupied, other, lead)
+            lead = _thermal_counts(rng, nbar, k) + 1
+            other = _thermal_counts(rng, nbar, k)
+            # A holds lead and B other where A is occupied, else B holds lead;
+            # products with the mask are cheaper than np.where on a random mask
+            n_a = lead * a_occupied
+            return n_a, other * a_occupied + (lead - n_a)
 
         return p * p, draw
     if spec.kind is SourceKind.SPLIT_THERMAL:
-        p = 1.0 / (1.0 + 2.0 * spec.nbar)
+        mean = 2.0 * spec.nbar
+        p = 1.0 / (1.0 + mean)
 
         def draw(rng, k):
-            tot = rng.geometric(p, k)
-            n_a = rng.binomial(tot, 0.5)
+            tot = _thermal_counts(rng, mean, k) + 1
+            bits = rng.integers(0, 2 ** 64, k, dtype=np.uint64)
+            # keep the low tot bits; the shift stays below 64, where it is defined
+            bits &= _ONES >> (64 - np.minimum(tot, 64)).astype(np.uint64)
+            n_a = np.bitwise_count(bits).astype(np.int64)
+            big = np.flatnonzero(tot > 64)
+            n_a[big] = rng.binomial(tot.take(big), 0.5)
             return n_a, tot - n_a
 
         return p, draw

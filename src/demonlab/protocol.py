@@ -19,6 +19,7 @@ in the *other* arm, so the roles invert and the demon swaps on a lone
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
@@ -214,7 +215,9 @@ def expected_power(spec: SourceSpec, r, eps2, normalization) -> float:
     # pairs: every output click with every monitor click, as the engine counts
     rate = np.sum(joint * (_OUT_A + _OUT_B) * ((_MON_A + _MON_B) if pairs else 0.5))
     norm = 2.0 * r2 * (1.0 - r2) if pairs else 1.0 - r2
-    if rate <= 0.0 or norm <= 0.0:
+    # a rate below the smallest normal double has lost its digits, and the
+    # imbalance with it: to double precision nothing is detected
+    if rate < sys.float_info.min or norm <= 0.0:
         raise ValueError("normalization denominator is zero; nothing is detected")
     return float(imbalance / (rate / norm))
 

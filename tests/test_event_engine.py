@@ -1,8 +1,9 @@
 """Tests of the occupied-slot event engine against exact references.
 
-The dead-window walk is checked against a plain per-slot loop, the run
-tallies against the exact rates of ``protocol.propagate``, and the reported
-power and imbalance error bars against the scatter of many seeds.
+The dead-window walk is checked against a plain per-slot loop, the
+occupied input pairs against the bath's exact law, the run tallies against
+the exact rates of ``protocol.propagate``, and the reported power and
+imbalance error bars against the scatter of many seeds.
 """
 
 import math
@@ -17,11 +18,12 @@ from demonlab.montecarlo import (
     RunConfig,
     RunMode,
     _dead_window_states,
+    _occupied_sampler,
     measure_power,
     run,
 )
 from demonlab.protocol import ALL_BAR, ALL_CROSS, canonical_policy, expected_power, propagate
-from demonlab.sources import SourceSpec, make_source
+from demonlab.sources import SourceSpec, bath_table, make_source
 
 
 def _per_slot_dead_window(size, base, occupied, clicked, own, window, held):
@@ -129,6 +131,67 @@ def test_dead_window_holds_its_state_across_a_block_boundary():
     assert states.tolist() == want.tolist() and suppressed == want_suppressed
 
 
+def _chi2_sf(x: float, df: int) -> float:
+    """Upper tail of the chi-square law with ``df`` degrees of freedom, in closed form."""
+    h = x / 2.0
+    if df % 2 == 0:  # exp(-h) * sum_{i < df/2} h**i / i!
+        total, term = 0.0, 1.0
+        for i in range(df // 2):
+            total += term
+            term *= h / (i + 1)
+        return math.exp(-h) * total
+    # erfc(sqrt(h)) + exp(-h) * sum_{i < (df-1)/2} h**(i + 1/2) / Gamma(i + 3/2)
+    total, term = math.erfc(math.sqrt(h)), math.sqrt(h) / math.gamma(1.5)
+    for i in range((df - 1) // 2):
+        total += math.exp(-h) * term
+        term *= h / (i + 1.5)
+    return total
+
+
+DRAWS = 200_000
+
+
+@pytest.mark.parametrize("nbar", [0.05, 0.5, 5.0])
+@pytest.mark.parametrize("make", [SourceSpec.uncorrelated, SourceSpec.split_thermal])
+def test_occupied_draws_follow_the_exact_law(make, nbar):
+    """A G-test of the drawn pairs against ``bath_table`` without its vacuum,
+    rejecting at p < 1e-6; cells expecting fewer than 5 draws are pooled
+    with the mass past the cutoff into one tail bin."""
+    spec = make(nbar)
+    p_vac, draw = _occupied_sampler(spec)
+    n_a, n_b = draw(np.random.Generator(np.random.PCG64(2020)), DRAWS)
+    cutoff = 80
+    table, lost = bath_table(spec, cutoff)
+    assert table[0, 0] == p_vac
+    table[0, 0] = 0.0
+    expected = DRAWS * table / (1.0 - p_vac)
+    inside = n_a + n_b <= cutoff
+    observed = np.zeros_like(table)
+    np.add.at(observed, (n_a[inside], n_b[inside]), 1)
+    cells = expected >= 5.0
+    obs = np.append(observed[cells], observed[~cells].sum() + np.count_nonzero(~inside))
+    exp = np.append(expected[cells], expected[~cells].sum() + DRAWS * lost / (1.0 - p_vac))
+    assert abs(exp.sum() - DRAWS) < 1e-6 * DRAWS
+    seen = obs > 0
+    g = 2.0 * float(np.sum(obs[seen] * np.log(obs[seen] / exp[seen])))
+    assert _chi2_sf(g, obs.size - 1) > 1e-6, (g, obs.size - 1)
+
+
+def test_split_draws_past_64_photons_split_fairly():
+    """At nbar 100 most slots hold more than the 64 bits of one word and take
+    the binomial: ``(n_a - tot/2) / sqrt(tot/4)`` has mean 0 and variance 1
+    within 5 of their standard errors, as it does below 64 photons."""
+    _, draw = _occupied_sampler(SourceSpec.split_thermal(100.0))
+    n_a, n_b = draw(np.random.Generator(np.random.PCG64(2021)), DRAWS)
+    tot = n_a + n_b
+    z = (n_a - tot / 2.0) / np.sqrt(tot / 4.0)
+    for part in (tot > 64, tot <= 64):
+        size = np.count_nonzero(part)
+        assert size > 0.2 * DRAWS
+        assert abs(z[part].mean()) < 5.0 / math.sqrt(size)
+        assert abs(z[part].var() - 1.0) < 5.0 * math.sqrt(2.0 / size)
+
+
 # (bath, exact-reference cutoff); the cutoff leaves a truncated mass far
 # below one standard error of any rate checked here.  nbar = 0.5 is
 # deliberate: dense light occupies most slots
@@ -209,5 +272,5 @@ def test_imbalance_error_bars_match_the_scatter_of_seeds(window):
 def test_results_record_the_stream_version():
     res = run(RunConfig(spec=SourceSpec.correlated(s2=0.01), r=0.5, eps2=1.0,
                         slots=1000, seed=1))
-    assert STREAM_VERSION == 3
+    assert STREAM_VERSION == 4
     assert res.to_json_dict()["stream_version"] == STREAM_VERSION

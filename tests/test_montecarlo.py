@@ -47,6 +47,16 @@ def test_config_validation():
         _cfg(arm_efficiency=(0.5, -0.1))
     with pytest.raises(ValueError):
         _cfg(dead_window_slots=-1)
+    # counts and the seed are integers; a numpy integer is stored as an int
+    with pytest.raises(ValueError, match="slots must be an integer"):
+        _cfg(slots=100000.0)
+    with pytest.raises(ValueError, match="dead_window_slots must be an integer"):
+        _cfg(dead_window_slots=2.5)
+    with pytest.raises(ValueError, match="slots must be an integer"):
+        _cfg(slots=True)
+    with pytest.raises(ValueError, match="seed must be"):
+        _cfg(seed=1.5)
+    assert type(_cfg(slots=np.int64(5)).slots) is int
     # bar and cross runs have no switch to freeze
     with pytest.raises(ValueError, match="feed-forward"):
         _cfg(mode="bar", dead_window_slots=5)
@@ -63,13 +73,15 @@ def test_config_refuses_thermal_baths_beyond_the_table_bound():
 
 
 def test_bright_run_at_the_bound_stays_small():
-    tracemalloc.start()
-    try:
-        run(_cfg(spec=SourceSpec.uncorrelated(MAX_THERMAL_NBAR), slots=BLOCK))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32e6  # about 10 MB: the table is about BLOCK rows
+    # at the bound every split slot holds more than 64 photons and takes the binomial
+    for make in (SourceSpec.uncorrelated, SourceSpec.split_thermal):
+        tracemalloc.start()
+        try:
+            run(_cfg(spec=make(MAX_THERMAL_NBAR), slots=BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, make  # about 10 MB: the table is about BLOCK rows
 
 
 def test_identical_configs_reproduce_bit_for_bit():

@@ -100,13 +100,13 @@ STREAM_RECIPES = {
                SourceSpec.anti_correlated(s2=0.01, v2=0.87)),
         runs=(("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 5)),
         config=dict(r=math.sqrt(0.3), eps2=0.7, slots=50_000),
-        digests={3: "f0097c196b3c2a04"}),
+        digests={3: "f0097c196b3c2a04", 4: "ac7b0e8183a107d4"}),
     "bright": dict(
         baths=(SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5)),
         runs=(("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 1),
               ("feed_forward", 10), ("feed_forward", 100)),
         config=dict(r=math.sqrt(0.4), eps2=0.75, slots=150_000, arm_efficiency=(1.0, 0.8)),
-        digests={3: "a51439b7caee5430"}),
+        digests={3: "a51439b7caee5430", 4: "8e3a2f12b95f9d76"}),
 }
 
 

@@ -222,6 +222,10 @@ def test_expected_power_refuses_what_it_cannot_compute():
         expected_power(SourceSpec.correlated(s2=0.01), 0.0, 1.0, "pairs")
     with pytest.raises(ValueError, match="denominator"):
         expected_power(SourceSpec.uncorrelated(0.05), R_HALF, 0.0, "singles")
+    # a subnormal rate keeps too few digits to place the imbalance
+    with pytest.raises(ValueError, match="denominator"):
+        expected_power(SourceSpec.uncorrelated(2.2250738585e-313), math.sqrt(0.75), 0.75,
+                       "singles")
     # brightness is no limit: the generating function needs no truncation
     bright = SourceSpec.split_thermal(2.0)
     assert abs(expected_power(bright, R_HALF, 1.0, "singles")) <= 1e-15
