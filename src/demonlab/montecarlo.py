@@ -9,7 +9,8 @@ vacuum.  A thermal count of mean ``m`` is one standard exponential ``E``
 inverted, ``floor(E / log1p(1/m))``.  The split bath's balanced splitter
 gives each photon of the shared mode one fair bit, so arm A's count is the
 number of set bits among the low ``tot`` bits of one random 64-bit word;
-a slot of more than 64 photons takes a binomial instead.
+a slot of more than 64 photons takes a binomial instead.  ``estimate_g2``
+draws and splits its stream with the same two samplers.
 
 The detectors only click, so an occupied arm is drawn straight into one of
 four cells, ``2 * (output click) + (monitor click)``.  Each of its ``n``
@@ -163,6 +164,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class RunResult:
+    """One run's tallies.
+
+    ``stderr_delta_n`` assumes independent slots: it is honest at equal arms
+    or without a dead window, and too small when unequal ``arm_efficiency``
+    meets a dead window, whose held state correlates slots.
+    """
+
     slots: int
     mode: RunMode
     seed: int
@@ -191,6 +199,22 @@ def _thermal_counts(rng: np.random.Generator, mean: float, k: int) -> np.ndarray
     return (rng.standard_exponential(k) / math.log1p(1.0 / mean)).astype(np.int64)
 
 
+def _balanced_split(rng: np.random.Generator, tot: np.ndarray) -> np.ndarray:
+    """Arm A's share of counts ``tot >= 1`` at a balanced splitter.
+
+    Each photon takes one fair bit: one random 64-bit word per count, masked
+    to its low ``tot`` bits, gives the share as its number of set bits.  The
+    mask is ``_ONES >> (64 - tot)``, and a shift by 64 is undefined, hence
+    ``tot >= 1``.  Counts past 64 photons then take ``Binomial(tot, 1/2)``.
+    """
+    bits = rng.integers(0, 2 ** 64, tot.size, dtype=np.uint64)
+    bits &= _ONES >> (64 - np.minimum(tot, 64)).astype(np.uint64)
+    n_a = np.bitwise_count(bits).astype(np.int64)
+    big = np.flatnonzero(tot > 64)
+    n_a[big] = rng.binomial(tot.take(big), 0.5)
+    return n_a
+
+
 def _occupied_sampler(spec: SourceSpec):
     """The bath's vacuum probability, and a draw of occupied input pairs.
 
@@ -198,9 +222,8 @@ def _occupied_sampler(spec: SourceSpec):
     conditioned on at least one photon; a thermal count so conditioned is 1
     plus an unconditioned one.  The uncorrelated bath draws which arm is
     occupied, its count, then the other arm's.  The split bath draws the
-    shared mode's count ``tot``, one 64-bit word of splitter bits per slot,
-    then ``Binomial(tot, 1/2)`` for the slots past 64 photons.  A pair bath
-    draws one cell of its table.
+    shared mode's count ``tot``, then splits it with ``_balanced_split``.
+    A pair bath draws one cell of its table.
     """
     if spec.kind is SourceKind.UNCORRELATED:
         nbar = spec.nbar
@@ -224,12 +247,7 @@ def _occupied_sampler(spec: SourceSpec):
 
         def draw(rng, k):
             tot = _thermal_counts(rng, mean, k) + 1
-            bits = rng.integers(0, 2 ** 64, k, dtype=np.uint64)
-            # keep the low tot bits; the shift stays below 64, where it is defined
-            bits &= _ONES >> (64 - np.minimum(tot, 64)).astype(np.uint64)
-            n_a = np.bitwise_count(bits).astype(np.int64)
-            big = np.flatnonzero(tot > 64)
-            n_a[big] = rng.binomial(tot.take(big), 0.5)
+            n_a = _balanced_split(rng, tot)
             return n_a, tot - n_a
 
         return p, draw
@@ -443,12 +461,6 @@ def calibrate_balance(config: RunConfig) -> tuple[float, float]:
                        "iterations")
 
 
-def _thermal_blocks(rng: np.random.Generator, nbar: float, slots: int):
-    """Thermal counts of ``slots`` independent slots, ``BLOCK`` at a time."""
-    for base in range(0, slots, BLOCK):
-        yield rng.geometric(1.0 / (1.0 + nbar), min(BLOCK, slots - base)) - 1
-
-
 def _gaussian_memory_blocks(rng: np.random.Generator, nbar: float, slots: int,
                             tau_c: float):
     """Thermal counts whose intensity memory follows a Gaussian of width tau_c.
@@ -501,11 +513,12 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     relaxes from 2 to 1 on the scale ``tau_c``.
 
     The stream is drawn and reduced ``BLOCK`` slots at a time from one
-    generator seeded by ``seed``: each block draws its counts (for
-    ``gaussian-memory`` the white noise of its slots, then the Poisson
-    counts), then the splitter's binomial on its occupied slots, and adds
-    its lagged products to integer sums, one dot product per delay.  Memory
-    is O(BLOCK + max(tau)), whatever ``slots`` is.
+    generator seeded by ``seed``, with the event engine's samplers: each
+    block draws its counts (``_thermal_counts``; for ``gaussian-memory`` the
+    white noise of its slots, then the Poisson counts), then splits its
+    occupied slots with the split bath's ``_balanced_split``, and adds its
+    lagged products to integer sums, one dot product per delay.  Memory is
+    O(BLOCK + max(tau)), whatever ``slots`` is.
     """
     if spec.kind in PAIR_KINDS:
         raise ValueError("g2 characterization applies to the thermal sources")
@@ -519,13 +532,17 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     if model == "iid":
         if tau_c is not None:
             raise ValueError("tau_c applies to the gaussian-memory model only")
-        blocks = _thermal_blocks(rng, spec.nbar, slots)
+        blocks = (_thermal_counts(rng, spec.nbar, min(BLOCK, slots - base))
+                  for base in range(0, slots, BLOCK))
     elif model == "gaussian-memory":
         if tau_c is None or not 0 < tau_c < math.inf:
             raise ValueError("gaussian-memory model requires a finite tau_c > 0")
         blocks = _gaussian_memory_blocks(rng, spec.nbar, slots, float(tau_c))
     else:
         raise ValueError(f"unknown model {model!r}")
+
+    if not spec.nbar:  # all vacuum; _thermal_counts needs a positive mean
+        raise ValueError("stream is empty; raise nbar or slots")
 
     total_1 = total_2 = 0
     sums = [0] * len(taus)
@@ -537,9 +554,8 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
         size = counts.size
         half_1 = lagged[keep:keep + size]
         half_1[:] = 0
-        occupied = np.flatnonzero(counts)
-        # Binomial(0, 1/2) is 0, so drawing only the occupied slots is exact
-        half_1[occupied] = rng.binomial(counts[occupied], 0.5)
+        occupied = np.flatnonzero(counts)  # the splitter needs counts >= 1
+        half_1[occupied] = _balanced_split(rng, counts.take(occupied))
         half_2 = np.subtract(counts, half_1, out=counts)
         total_1 += int(half_1.sum())
         total_2 += int(half_2.sum())

@@ -149,6 +149,10 @@ _ARGUMENT_ERRORS = [
     (["g2", "--nbar", "0.5", "--seed", "18446744073709551616"], "--seed"),
     # brighter baths would overflow the int64 lag sums
     (["g2", "--nbar", "1e8", "--slots", "100000", "--taus", "0,5"], "nbar"),
+    # a vacuum bath yields no stream to correlate
+    (["g2", "--nbar", "0", "--slots", "100000"], "stream is empty"),
+    (["g2", "--nbar", "0", "--slots", "100000", "--model", "gaussian-memory",
+      "--tau-c", "8"], "stream is empty"),
     # a memory kernel longer than the stream is refused before it is built
     (["g2", "--nbar", "0.5", "--model", "gaussian-memory", "--tau-c", "1e9",
       "--slots", "100000"], "tau_c"),

@@ -15,6 +15,8 @@ from demonlab.montecarlo import (
     RunConfig,
     RunMode,
     RunResult,
+    _balanced_split,
+    _thermal_counts,
     calibrate_balance,
     estimate_g2,
     fit_gaussian_memory_tau_c,
@@ -285,10 +287,10 @@ def test_g2_lag_sums_over_blocks_match_the_whole_stream():
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     half_1, half_2 = [], []
     for base in range(0, slots, BLOCK):
-        counts = rng.geometric(1.0 / (1.0 + nbar), min(BLOCK, slots - base)) - 1
+        counts = _thermal_counts(rng, nbar, min(BLOCK, slots - base))
         first = np.zeros_like(counts)
         occupied = np.flatnonzero(counts)
-        first[occupied] = rng.binomial(counts[occupied], 0.5)
+        first[occupied] = _balanced_split(rng, counts[occupied])
         half_1.append(first)
         half_2.append(counts - first)
     a, b = np.concatenate(half_1), np.concatenate(half_2)

@@ -52,9 +52,9 @@ INFO_DIGESTS = {
 # default slots (1e6) and delays (0, 1, 2, 5, 10, 20)
 G2_DIGESTS = {
     ("--nbar", "0.5", "--seed", "1"):
-        "15c065e5b344725be124644918f5cb1b1620fcaee3f57c6520e5d8a3fa2dc585",
+        "f21d992ba336bd713c7cf29cc1446358904d2d62b79025cee0c5feb9adb28277",
     ("--nbar", "0.5", "--seed", "1", "--model", "gaussian-memory", "--tau-c", "8", "--fit"):
-        "a26fe10f2f0fd09c05f45e799b127f43ae5dc054261c9fcd1bd96e167eede737",
+        "fc23a73d9ea2b5e8ca5ad6baec2a44e2bc92651e8ab8ed174667ae8f2964ed10",
 }
 
 
