@@ -19,10 +19,10 @@ import os
 import sys
 
 from .analytics import Normalization
-from .harness import (ConfigError, PRESETS, _parse_source, emit_report,
+from .harness import (ConfigError, PRESETS, _checked, _parse_source, emit_report,
                       load_config, preset_config, run_checks, run_sweep)
 from .information import mutual_information
-from .montecarlo import (RunConfig, RunMode, estimate_g2,
+from .montecarlo import (RunConfig, RunMode, _as_seed, estimate_g2,
                          fit_gaussian_memory_tau_c, measure_power, run)
 from .sources import SourceKind, SourceSpec
 
@@ -36,9 +36,7 @@ def _resolve_seed(cli_seed, config_seed=None) -> int:
         seed = int(seed)
     except ValueError:
         raise ConfigError(f"{source}: not an integer: {seed!r}") from None
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{source}: must be a 64-bit unsigned integer")
-    return seed
+    return _checked(source, _as_seed, seed)
 
 
 def _spec_from_args(args) -> SourceSpec:

@@ -28,13 +28,14 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .analytics import (Normalization, as_normalization, closed_form_power,
                         peak_enhancement_ratio)
 from .fock import as_efficiency
 from .information import mutual_information
-from .montecarlo import _derived_seed, measure_power
+from .montecarlo import (_as_count, _as_seed, _derived_seed, estimate_g2,
+                         fit_gaussian_memory_tau_c, measure_power)
 from .oracle import (compare, enumerate_outcomes, symbolic_delta_pairs,
                      symbolic_delta_uncorrelated, truncated_uncorrelated_delta)
 from .protocol import (TABLE_PAIR, TABLE_THERMAL, canonical_policy, expected_power,
@@ -55,15 +56,18 @@ def _fail(path: str, message: str) -> ConfigError:
     return ConfigError(f"{path}: {message}")
 
 
+def _number(path: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(path, f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _get_number(data: dict, path: str, key: str, default=None, required=False):
     if key not in data:
         if required:
             raise _fail(f"{path}.{key}", "required field is missing")
         return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{path}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    return _number(f"{path}.{key}", data[key])
 
 
 @dataclass(frozen=True)
@@ -123,11 +127,7 @@ def _parse_source(data, path: str) -> SourceSeries:
 
 def _parse_grid(data, path: str) -> tuple[float, ...]:
     if isinstance(data, list):
-        values = []
-        for i, value in enumerate(data):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise _fail(f"{path}[{i}]", f"expected a number, got {value!r}")
-            values.append(float(value))
+        values = [_number(f"{path}[{i}]", value) for i, value in enumerate(data)]
     elif isinstance(data, dict):
         for key in data:
             if key not in ("start", "stop", "step"):
@@ -170,12 +170,8 @@ def parse_sweep_config(data) -> SweepConfig:
     engine = data.get("engine", "analytic")
     if engine not in ENGINES:
         raise _fail("config.engine", f"expected one of {ENGINES}, got {engine!r}")
-    seed = data.get("seed", 1)
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2 ** 64:
-        raise _fail("config.seed", "must be a 64-bit unsigned integer")
-    slots = data.get("slots", 1_000_000)
-    if isinstance(slots, bool) or not isinstance(slots, int) or slots < 1:
-        raise _fail("config.slots", "must be a positive integer")
+    seed = _checked("config.seed", _as_seed, data.get("seed", 1))
+    slots = _checked("config.slots", _as_count, "slots", data.get("slots", 1_000_000), 1)
     include_info = data.get("include_info", False)
     if not isinstance(include_info, bool):
         raise _fail("config.include_info", "expected true or false")
@@ -236,10 +232,6 @@ def preset_config(name: str) -> SweepConfig:
     return parse_sweep_config(PRESETS[name])
 
 
-REPORT_FIELDS = ("source", "normalization", "r2", "analytic", "mc",
-                 "mc_stderr", "mutual_info_bits")
-
-
 @dataclass(frozen=True)
 class ReportRow:
     source: str
@@ -250,8 +242,8 @@ class ReportRow:
     mc_stderr: float | None
     mutual_info_bits: float | None
 
-    def as_dict(self) -> dict:
-        return {field: getattr(self, field) for field in REPORT_FIELDS}
+
+REPORT_FIELDS = tuple(field.name for field in fields(ReportRow))
 
 
 def run_sweep(config: SweepConfig) -> list[ReportRow]:
@@ -305,20 +297,13 @@ def run_sweep(config: SweepConfig) -> list[ReportRow]:
 def emit_csv(rows, stream) -> None:
     stream.write(",".join(REPORT_FIELDS) + "\n")
     for row in rows:
-        cells = []
-        for field in REPORT_FIELDS:
-            value = getattr(row, field)
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(repr(value))
-            else:
-                cells.append(str(value))
-        stream.write(",".join(cells) + "\n")
+        # a row's values are str, int or float, and str of a float is its repr
+        stream.write(",".join("" if v is None else str(v)
+                              for v in vars(row).values()) + "\n")
 
 
 def emit_json(rows, stream) -> None:
-    json.dump([row.as_dict() for row in rows], stream, indent=2)
+    json.dump([vars(row) for row in rows], stream, indent=2)
     stream.write("\n")
 
 
@@ -329,17 +314,13 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 60, 150, 20, 40
 
 
 def _svg_series(rows):
-    order = []
-    series = {}
+    series = {}  # in the rows' order
     for row in rows:
-        key = (row.source, row.normalization)
-        if key not in series:
-            series[key] = []
-            order.append(key)
+        points = series.setdefault((row.source, row.normalization), [])
         y = row.mc if row.analytic is None else row.analytic
         if y is not None:
-            series[key].append((row.r2, y))
-    return [(key, series[key]) for key in order]
+            points.append((row.r2, y))
+    return list(series.items())
 
 
 def emit_svg(rows, stream) -> None:
@@ -513,8 +494,6 @@ def _check_info():
 
 
 def _check_g2():
-    from .montecarlo import estimate_g2, fit_gaussian_memory_tau_c
-
     spec = SourceSpec.uncorrelated(0.5)  # bunching is easiest to resolve bright
     iid = dict(estimate_g2(spec, 1_000_000, 108, (0, 5, 20)))
     ok = all(abs(iid[tau] - want) <= 0.05 for tau, want in ((0, 2.0), (5, 1.0), (20, 1.0)))

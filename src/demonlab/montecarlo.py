@@ -114,6 +114,14 @@ def _as_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _as_seed(value) -> int:
+    """``value`` as an int in [0, 2**64); a float or a bool is refused."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or not 0 <= value < 2 ** 64):
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return int(value)
+
+
 class RunMode(str, Enum):
     BAR = "bar"
     CROSS = "cross"
@@ -146,11 +154,7 @@ class RunConfig:
         object.__setattr__(self, "mode", RunMode(self.mode))
         _check_brightness(self.spec)
         object.__setattr__(self, "slots", _as_count("slots", self.slots, 1))
-        seed = self.seed
-        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-                or not 0 <= seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _as_seed(self.seed))
         pair = tuple(float(x) for x in self.arm_efficiency)
         if len(pair) != 2 or not all(0.0 <= x <= 1.0 for x in pair):
             raise ValueError("arm_efficiency must be two values in [0, 1]")
@@ -404,6 +408,7 @@ def measure_power(spec: SourceSpec, r, eps2, slots: int, seed: int,
     is the cross run's coincidences for pairs, its output clicks for singles.
     """
     normalization = as_normalization(spec, normalization)
+    seed = _as_seed(seed)
     common = dict(spec=spec, r=r, eps2=eps2, slots=slots)
     cross = run(RunConfig(mode=RunMode.CROSS, seed=_derived_seed(seed, 1), **common))
     ff = run(RunConfig(mode=RunMode.FEED_FORWARD, seed=_derived_seed(seed, 2), **common))
@@ -523,10 +528,10 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     if spec.kind in PAIR_KINDS:
         raise ValueError("g2 characterization applies to the thermal sources")
     _check_brightness(spec)
-    if slots < MIN_G2_SLOTS:
-        raise ValueError(f"need at least {MIN_G2_SLOTS} slots for a stable estimate")
-    taus = [int(t) for t in tau_grid]
-    if any(t < 0 or t >= slots for t in taus):
+    slots = _as_count("slots", slots, MIN_G2_SLOTS)
+    seed = _as_seed(seed)
+    taus = [_as_count("each delay", t, 0) for t in tau_grid]
+    if any(t >= slots for t in taus):
         raise ValueError("delays must satisfy 0 <= tau < slots")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     if model == "iid":

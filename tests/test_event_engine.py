@@ -269,6 +269,17 @@ def test_imbalance_error_bars_match_the_scatter_of_seeds(window):
     assert 0.86 <= ratio <= 1.14, ratio
 
 
+@pytest.mark.parametrize("spec", [SourceSpec.correlated(s2=0.0),
+                                  SourceSpec.anti_correlated(s2=0.0, v2=0.87)])
+def test_a_pair_bath_at_s2_zero_runs_with_empty_tallies(spec):
+    # every slot is vacuum, so no block draws an occupied pair
+    for mode, window in (("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 5)):
+        res = run(RunConfig(spec=spec, r=math.sqrt(R2), eps2=EPS2, slots=150_000, seed=1,
+                            mode=mode, dead_window_slots=window))
+        assert (res.n_a, res.n_b, res.delta_n, res.coincidences,
+                res.lost_to_dead_window, res.stderr_delta_n) == (0, 0, 0, 0, 0, 0.0)
+
+
 def test_results_record_the_stream_version():
     res = run(RunConfig(spec=SourceSpec.correlated(s2=0.01), r=0.5, eps2=1.0,
                         slots=1000, seed=1))

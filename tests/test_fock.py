@@ -98,6 +98,10 @@ def test_distribution_rejects_bad_entries():
         JointOccupationDistribution(("a",), {(0,): 0.5}, cutoff=4)
     with pytest.raises(ValueError):
         JointOccupationDistribution(("a", "a"), {(0, 0): 1.0}, cutoff=4)
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        JointOccupationDistribution(("a",), {(0,): 1.0}, cutoff=-1)
+    with pytest.raises(ValueError, match="lost_mass must be >= 0, got -0.5"):
+        JointOccupationDistribution(("a",), {(0,): 1.0}, cutoff=4, lost_mass=-0.5)
 
 
 def test_vacuum_and_renamed():

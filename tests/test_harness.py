@@ -89,6 +89,23 @@ def test_parse_errors_carry_field_paths():
          "config.sources[0]: s2"),
         (_minimal(sources=[{"name": "u", "kind": "uncorrelated", "nbar": 0.05,
                             "eps2": 1.5}]), "config.sources[0].eps2"),
+        (_minimal(sources=[{"name": "u", "kind": "uncorrelated", "nbar": "0.05"}]),
+         "config.sources[0].nbar: expected a number"),
+        (_minimal(sources=[3]), "config.sources[0]: each source must be an object"),
+        (_minimal(sources=[{"name": "u", "nbar": 0.05}]), "config.sources[0].kind: required"),
+        (_minimal(sources=[{"name": "u", "kind": 3, "nbar": 0.05}]),
+         "config.sources[0].kind: required"),
+        (_minimal(grid=[0.1, "0.2"]), "config.grid[1]: expected a number"),
+        (_minimal(grid={"start": 0.0, "stop": 0.5, "step": 0.1, "count": 6}),
+         "config.grid.count: unknown field"),
+        (_minimal(grid={"start": 0.0, "stop": 0.5, "step": 0.0}), "config.grid.step: must be > 0"),
+        (_minimal(grid="0.1"), "config.grid: expected a list"),
+        (_minimal(grid=[]), "config.grid: grid is empty"),
+        ([_minimal()], "config: expected a JSON object"),
+        (_minimal(flavor="x"), "config.flavor: unknown field"),
+        (_minimal(seed=-1), "config.seed: seed must be a 64-bit unsigned integer"),
+        (_minimal(slots=1e6), "config.slots: slots must be an integer >= 1"),
+        (_minimal(include_info=1), "config.include_info: expected true or false"),
     ]
     for data, needle in cases:
         with pytest.raises(ConfigError) as err:

@@ -59,6 +59,10 @@ def test_config_validation():
     with pytest.raises(ValueError, match="seed must be"):
         _cfg(seed=1.5)
     assert type(_cfg(slots=np.int64(5)).slots) is int
+    # measure_power takes its seed by the same rule, before either leg runs
+    for seed in (1 << 64, True, 1.5):
+        with pytest.raises(ValueError, match="seed must be"):
+            measure_power(CORR, math.sqrt(0.5), 1.0, 10_000, seed, "pairs")
     # bar and cross runs have no switch to freeze
     with pytest.raises(ValueError, match="feed-forward"):
         _cfg(mode="bar", dead_window_slots=5)
@@ -254,6 +258,17 @@ def test_g2_input_validation():
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1), tau_c=3.0)  # iid has none
     with pytest.raises(ValueError):
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1), model="bogus")
+    # seeds, slots and delays follow the run's integer rules: no float, no bool
+    for seed in (1 << 64, True, 1.5):
+        with pytest.raises(ValueError, match="seed must be"):
+            estimate_g2(spec, MIN_G2_SLOTS, seed=seed, tau_grid=(0, 1))
+    with pytest.raises(ValueError, match="slots must be an integer"):
+        estimate_g2(spec, 1e5, seed=1, tau_grid=(0, 1))
+    with pytest.raises(ValueError, match="delay must be an integer"):
+        estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1.7))
+    # a bath this faint passes every up-front check, and its stream ends empty
+    with pytest.raises(ValueError, match="stream is empty"):
+        estimate_g2(SourceSpec.uncorrelated(1e-9), MIN_G2_SLOTS, seed=1, tau_grid=(0, 1))
 
 
 def test_g2_refuses_baths_beyond_the_bound():

@@ -1,6 +1,6 @@
 """Pinned SHA-256 digests of the preset reports, of ``info`` on weak and bright
-baths, of ``g2`` on both stream models, of the baths' dict tables, and of the
-event engine's random stream.
+baths, of ``g2`` on both stream models, of ``mc`` dead-window and power runs,
+of the baths' dict tables, and of the event engine's random stream.
 
 A change meant to keep every output byte must leave these digests alone; a
 change that moves an output on purpose updates the digest and says why.  A
@@ -57,6 +57,22 @@ G2_DIGESTS = {
         "fc23a73d9ea2b5e8ca5ad6baec2a44e2bc92651e8ab8ed174667ae8f2964ed10",
 }
 
+# 300k slots at seed 3, default tap (r2 0.5) and coupling (eps2 1)
+MC_DIGESTS = {
+    ("--kind", "uncorrelated", "--nbar", "0.05", "--dead-window", "5"):
+        "7c25426a5ef77163a6435488867d31d508fa05da21453c5b43cb95595d7389d4",
+    ("--kind", "split-thermal", "--nbar", "0.05", "--dead-window", "5"):
+        "5b1ae05f7919c307012900977ee813c362d1d17726a540e989e9d244855555a1",
+    ("--kind", "correlated", "--s2", "0.01", "--dead-window", "5"):
+        "506a79732a5795fa4cb37d70044d93c8cf5b143391fcc5dd9f098deedb2ebcc6",
+    ("--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87", "--dead-window", "5"):
+        "1c76037e602d57c153b6f9804041e61cfb81c0606b15266dd2ebe2081763ab2a",
+    ("--kind", "correlated", "--s2", "0.01", "--normalization", "pairs"):
+        "ccd0a77068f025ee7fdd7c74ce52903d171bb840711bc875fe0c775022261a9b",
+    ("--kind", "uncorrelated", "--nbar", "0.05", "--normalization", "singles"):
+        "43c60ca3b3942c42c20ccd052068b3c5599c3435e4d8df538d845669d7f99d7d",
+}
+
 
 def _stdout_digest(argv, capsys) -> str:
     assert main(list(argv)) == 0, argv
@@ -77,6 +93,12 @@ def test_info_bytes_are_pinned(flags, capsys):
 @pytest.mark.parametrize("flags", sorted(G2_DIGESTS))
 def test_g2_bytes_are_pinned(flags, capsys):
     assert _stdout_digest(["g2", *flags], capsys) == G2_DIGESTS[flags]
+
+
+@pytest.mark.parametrize("flags", sorted(MC_DIGESTS))
+def test_mc_bytes_are_pinned(flags, capsys):
+    argv = ["mc", *flags, "--slots", "300000", "--seed", "3"]
+    assert _stdout_digest(argv, capsys) == MC_DIGESTS[flags]
 
 
 def test_source_tables_are_pinned():
