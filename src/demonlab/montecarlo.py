@@ -19,50 +19,62 @@ onto the arm's monitor detector, or kept for the switch.  With survival
 ``s``, the chance that none reaches the monitor, the output, or either is
 ``(1 - u)**n`` at ``u = s * r**2``, ``s * (1 - r**2)`` and ``s``
 (``protocol._no_click_points``); ``protocol._CELLS`` turns these into the
-four cell chances, and one uniform per arm picks the cell.  The switch
-routes the output clicks by the monitor click pattern; bar and cross runs
-are the constant policies ``ALL_BAR`` and ``ALL_CROSS``.
+four cell chances, whose running sums a run tabulates once per arm.  An
+arm's cell is the number of them its one uniform passes, and the two arms'
+cells make the click table's cell ``4 * cell_a + cell_b``, indexed
+``[out_a, mon_a, out_b, mon_b]`` as in ``protocol._click_table``.  The
+switch routes the output clicks by the monitor click pattern; bar and cross
+runs are the constant policies ``ALL_BAR`` and ``ALL_CROSS``.
 
 Draw order is part of correctness.  In every mode a block draws ``k``, then
-the occupations, then the cell of arm A, then that of arm B.  Same-seed
+the occupations, then the uniforms of arm A, then those of arm B.  Same-seed
 bar, cross, feed-forward and dead-window runs therefore see the same
 photons: they give identical ``n_a + n_b`` and ``coincidences``, and the
-switch only relabels the arms.
+switch only relabels the arms.  A block makes only these draws; blocks are
+held until they would hold more than ``CHUNK`` occupied slots, and then
+tallied together, so weak light pays numpy's per-call cost per chunk, not
+per block.
 
 A response dead window freezes the switch for ``dead_window_slots`` slots
 after an effective monitor click, in the state that click chose.  Only
-dead-window runs need slot positions.  They draw the positions of the
-occupied slots after the cells, sort them, and find the effective clicks
-without a per-click loop.  Each click's successor is the first click at
-least ``window + 1`` slots after it, one ``searchsorted`` for all clicks:
-its cost follows the clicks, where a count of clicks over the block would
-cost a whole block's pass even in weak light.  The effective clicks are the
-chain of successors from the first click free of the held window.  Pointer
-doubling (Wyllie, 1979) builds it in about ``log2(effective clicks)``
-vectorized steps, each appending the chain's image under the successor
-table and then composing the table with itself.  The last effective click
-is carried into the next block, so a window that crosses a block boundary
-keeps its held state.
+dead-window runs need slot positions.  A block draws the positions of its
+occupied slots after the uniforms and sorts them; the walk then finds a
+chunk's effective clicks without a per-click loop.  Each click's successor
+is the first click at least ``window + 1`` slots after it, one
+``searchsorted`` for all clicks: its cost follows the clicks, where a count
+of clicks over the block would cost a whole block's pass even in weak light.
+The effective clicks are the chain of successors from the first click free
+of the held window.  Pointer doubling (Wyllie, 1979) builds it in about
+``log2(effective clicks)`` vectorized steps, each appending the chain's
+image under the successor table and then composing the table with itself.
+The last effective click is carried into the next chunk, so a window that
+crosses a chunk boundary keeps its held state.
 
 Determinism: a run is a pure function of its config.  Block ``i`` consumes
 ``SeedSequence(seed, spawn_key=(i,))``, the child ``spawn`` would give it,
 built alone.  Runs without a dead window are independent per block, so
-they can be sharded by block and the shards merged by summation;
-dead-window runs carry switch state from block to block and cannot.
+they can be sharded by block and the shards' histograms summed; dead-window
+runs carry switch state from block to block and cannot.
 ``STREAM_VERSION`` names the stream a seed yields; it goes up whenever a
 change alters the tallies of any seed.
 
-Counting conventions, chosen to mirror how the hardware is read out:
+Counting conventions, chosen to mirror how the hardware is read out.  A run
+counts its occupied slots in a histogram over the click table's cells and
+whether the switch crossed, ``[swap, out_a, mon_a, out_b, mon_b]``, and each
+tally is one weight vector over it (``_TALLY_WEIGHTS``):
 
-* ``n_a`` / ``n_b`` are click tallies at the output detectors.
+* ``n_a`` / ``n_b`` are click tallies at the output detectors, the arms'
+  output clicks swapped where the switch crossed.
 * ``n_in_est`` estimates the per-arm input singles rate by dividing the
   averaged output tallies by the tap transmission ``1 - r**2``.
 * ``coincidences`` counts same-slot pairs between an output detector and a
-  monitor detector, summed over all four combinations.  For a pair source
-  a pair contributes exactly one such coincidence precisely when one
-  photon was tapped and the other kept, whatever the switch did, so
-  ``coincidences / (2 * r**2 * (1 - r**2))`` estimates the surviving pair
-  rate; that is ``pairs_est``, the denominator of pair-normalized power.
+  monitor detector, summed over all four combinations, ``(out_a + out_b) *
+  (mon_a + mon_b)`` as in ``expected_power``.  For a pair source a pair
+  contributes exactly one such coincidence precisely when one photon was
+  tapped and the other kept, whatever the switch did, so ``coincidences /
+  (2 * r**2 * (1 - r**2))`` estimates the surviving pair rate; that is
+  ``pairs_est``, the denominator of pair-normalized power.
+* ``stderr_delta_n`` reads the slots where exactly one output clicks.
 """
 from __future__ import annotations
 
@@ -75,16 +87,24 @@ import numpy as np
 
 from .fock import as_amplitude, as_efficiency
 from .analytics import Normalization, as_normalization
-from .protocol import _CELLS, ALL_BAR, ALL_CROSS, _no_click_points, canonical_policy
+from .protocol import (_CELLS, _MON_A, _MON_B, _OUT_A, _OUT_B, ALL_BAR, ALL_CROSS,
+                       _no_click_points, canonical_policy)
 from .sources import PAIR_KINDS, SourceKind, SourceSpec, bath_table
 
 BLOCK = 1 << 16
 
-#: Largest per-arm mean of a thermal bath the engine takes.  ``_arm_clicks``
-#: tabulates the no-click chances of every count up to a block's largest.
-#: A thermal count exceeds ``m`` with chance about ``exp(-m / nbar)``, so the
-#: largest of a block's ``BLOCK`` counts is about ``nbar * ln(BLOCK)``; this
-#: bound keeps the table to about ``BLOCK`` rows, the size of the block.
+#: Most occupied slots ``run`` holds before it tallies them.  A numpy call
+#: costs a few microseconds whatever its size, and a weak-light block holds a
+#: few hundred occupied slots; past a few thousand a call's cost is mostly
+#: its elements, and a larger chunk would only hold more arrays in memory.
+CHUNK = 1 << 13
+
+#: Largest per-arm mean of a thermal bath the engine takes.  ``run``
+#: tabulates each arm's cell thresholds for every count up to twice the
+#: largest it has drawn.  A thermal count exceeds ``m`` with chance about
+#: ``exp(-m / nbar)``, so the largest of a block's ``BLOCK`` counts is about
+#: ``nbar * ln(BLOCK)``; this bound keeps that near ``BLOCK``, and the table
+#: to about ``2 * BLOCK`` rows, growing only with the log of a run's blocks.
 #: ``estimate_g2`` takes the same bound: its counts then stay near ``BLOCK``
 #: = 2**16, so a block's sum of ``BLOCK`` lagged products stays far below
 #: 2**16 * 2**32 = 2**48, and its int64 dot products cannot overflow.
@@ -99,6 +119,21 @@ STREAM_VERSION = 4
 MIN_G2_SLOTS = 100_000
 
 _ONES = np.uint64(2 ** 64 - 1)
+
+#: The swap bit of the run histogram ``[swap, out_a, mon_a, out_b, mon_b]``,
+#: whose cell ``16 * swap + 4 * cell_a + cell_b`` extends the click table's.
+_SWAP = np.arange(2).reshape(2, 1, 1, 1, 1)
+_SINGLE = _OUT_A ^ _OUT_B  # exactly one arm kept a photon: the switch moves it
+
+#: ``n_a``, ``n_b``, the single-sided count and ``coincidences`` as weights
+#: over the run histogram.  Coincidences pair every output click with every
+#: monitor click, as ``protocol.expected_power``'s pair rate does.
+_TALLY_WEIGHTS = np.array(np.broadcast_arrays(
+    _OUT_A ^ (_SWAP & _SINGLE), _OUT_B ^ (_SWAP & _SINGLE), _SINGLE,
+    (_OUT_A + _OUT_B) * (_MON_A + _MON_B))).reshape(4, 32)
+
+#: The monitor bits of a click table cell ``8 out_a + 4 mon_a + 2 out_b + mon_b``.
+_MONITOR_BITS = np.uint8(0b0101)
 
 
 def _check_brightness(spec: SourceSpec) -> None:
@@ -200,7 +235,9 @@ def _thermal_counts(rng: np.random.Generator, mean: float, k: int) -> np.ndarray
     ``E`` is a standard exponential, so a count is at least ``j`` with chance
     ``(mean / (1 + mean))**j``: the geometric law, by inversion.
     """
-    return (rng.standard_exponential(k) / math.log1p(1.0 / mean)).astype(np.int64)
+    e = rng.standard_exponential(k)
+    e /= math.log1p(1.0 / mean)
+    return e.astype(np.int64)
 
 
 def _balanced_split(rng: np.random.Generator, tot: np.ndarray) -> np.ndarray:
@@ -220,14 +257,16 @@ def _balanced_split(rng: np.random.Generator, tot: np.ndarray) -> np.ndarray:
 
 
 def _occupied_sampler(spec: SourceSpec):
-    """The bath's vacuum probability, and a draw of occupied input pairs.
+    """The bath's vacuum probability, and a draw of occupied slots.
 
-    ``draw(rng, k)`` returns ``k`` pairs ``(n_a, n_b)`` from the bath's law
-    conditioned on at least one photon; a thermal count so conditioned is 1
-    plus an unconditioned one.  The uncorrelated bath draws which arm is
-    occupied, its count, then the other arm's.  The split bath draws the
-    shared mode's count ``tot``, then splits it with ``_balanced_split``.
-    A pair bath draws one cell of its table.
+    ``draw(rng, k)`` returns ``n_a, n_b, x_a, x_b``: ``k`` input pairs from
+    the bath's law conditioned on at least one photon, then each arm's cell
+    uniforms.  A thermal count so conditioned is 1 plus an unconditioned
+    one.  The uncorrelated bath draws which arm is occupied, its count, then
+    the other arm's.  The split bath draws the shared mode's count ``tot``,
+    then splits it with ``_balanced_split``.  A pair bath draws one cell of
+    its table, and takes that uniform and both arms' in one call: each
+    double is one 64-bit output, so the stream is that of three calls.
     """
     if spec.kind is SourceKind.UNCORRELATED:
         nbar = spec.nbar
@@ -237,12 +276,17 @@ def _occupied_sampler(spec: SourceSpec):
         def draw(rng, k):
             # P(arm A occupied | not vacuum) = q / (1 - (1 - q)**2)
             a_occupied = rng.random(k) < 1.0 / (2.0 - q)
-            lead = _thermal_counts(rng, nbar, k) + 1
-            other = _thermal_counts(rng, nbar, k)
-            # A holds lead and B other where A is occupied, else B holds lead;
-            # products with the mask are cheaper than np.where on a random mask
-            n_a = lead * a_occupied
-            return n_a, other * a_occupied + (lead - n_a)
+            lead = _thermal_counts(rng, nbar, k)
+            lead += 1
+            n_b = _thermal_counts(rng, nbar, k)
+            # A holds lead and B the other count where A is occupied, else B
+            # holds lead; products with the mask are cheaper than np.where on
+            # a random mask
+            n_b *= a_occupied
+            n_b += lead
+            lead *= a_occupied
+            n_b -= lead
+            return lead, n_b, rng.random(k), rng.random(k)
 
         return p * p, draw
     if spec.kind is SourceKind.SPLIT_THERMAL:
@@ -250,9 +294,11 @@ def _occupied_sampler(spec: SourceSpec):
         p = 1.0 / (1.0 + mean)
 
         def draw(rng, k):
-            tot = _thermal_counts(rng, mean, k) + 1
+            tot = _thermal_counts(rng, mean, k)
+            tot += 1
             n_a = _balanced_split(rng, tot)
-            return n_a, tot - n_a
+            tot -= n_a
+            return n_a, tot, rng.random(k), rng.random(k)
 
         return p, draw
     table, _ = bath_table(spec, 2)
@@ -266,41 +312,48 @@ def _occupied_sampler(spec: SourceSpec):
     cum[-1] = 1.0
 
     def draw(rng, k):
-        idx = np.searchsorted(cum, rng.random(k), side="right")
-        return arr_a[idx], arr_b[idx]
+        u = rng.random(3 * k)
+        idx = np.searchsorted(cum, u[:k], side="right")
+        return arr_a.take(idx), arr_b.take(idx), u[k:2 * k], u[2 * k:]
 
     return p_vac, draw
 
 
-def _arm_clicks(rng: np.random.Generator, n: np.ndarray, survival: float, r2: float):
-    """Output and monitor clicks of arms holding ``n`` photons, from one uniform each.
+def _cell_thresholds(survival: float, r2: float, rows: int) -> np.ndarray:
+    """An arm's cell thresholds for each count ``n < rows``, as a ``(3, rows)`` array.
 
-    The uniform is held against the chances of arm cell 0, of cells 0-1 and
-    of cells 0-2, the cell being ``2 * (output click) + (monitor click)``.
+    Row ``j`` holds the chance of cells ``0..j``, the cell being
+    ``2 * (output click) + (monitor click)``.  The chances of cells 1 and 2
+    are differences of ordered powers, never negative, so the thresholds
+    rise with ``j``.
     """
-    no_click = (1.0 - _no_click_points(survival, r2)) ** np.arange(n.max() + 1)[:, None]
-    none, no_output, not_both = np.cumsum(no_click @ _CELLS.T, axis=1).T[:3].copy()
-    x = rng.random(n.size)
-    output = x >= no_output.take(n)
-    # cells 1 and 3 hold the monitor click: past one or three thresholds
-    return output, (x >= none.take(n)) ^ output ^ (x >= not_both.take(n))
+    no_click = (1.0 - _no_click_points(survival, r2)) ** np.arange(rows)[:, None]
+    thresholds = _CELLS[:3] @ no_click.T
+    return np.cumsum(thresholds, axis=0, out=thresholds)
+
+
+def _arm_cells(thresholds: np.ndarray, n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cells of arms holding ``n`` photons: how many thresholds each uniform passes."""
+    cell = np.add(x >= thresholds[0].take(n), x >= thresholds[1].take(n), dtype=np.uint8)
+    cell += x >= thresholds[2].take(n)
+    return cell
 
 
 def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
                         window: int, carry: tuple[int, bool]):
-    """Switch state of each occupied slot of one block under a dead window.
+    """Switch state of each occupied slot of one chunk under a dead window.
 
-    ``slots`` holds the sorted absolute indices of the block's occupied
+    ``slots`` holds the sorted absolute indices of the chunk's occupied
     slots, ``clicked`` whether each saw a monitor click, and ``own`` the
     state the policy picks for each slot's own click pattern.  A click is
     effective when it comes at least ``window + 1`` slots after the last
     effective click: the switch takes its state and holds it for the next
     ``window`` slots.  A click inside a held window is suppressed.
     ``carry`` is ``(slot, state)`` of the last effective click before this
-    block; ``(-window - 1, False)`` before the first.
+    chunk; ``(-window - 1, False)`` before the first.
 
     Returns the state of each occupied slot, the number of suppressed
-    clicks, and the carry for the next block.
+    clicks, and the carry for the next chunk.
     """
     last, held = carry
     clicks = np.flatnonzero(clicked)
@@ -327,22 +380,27 @@ def _dead_window_states(slots: np.ndarray, clicked: np.ndarray, own: np.ndarray,
     return states, clicks.size - effective.size, carry
 
 
-def run(config: RunConfig) -> RunResult:
-    """Simulate one acquisition and return its tallies."""
-    spec, mode = config.spec, config.mode
-    policy = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
-        mode, canonical_policy(spec.kind))
-    r2 = config.r * config.r
-    survival_a, survival_b = (config.eps2 * e for e in config.arm_efficiency)
-    crosses = policy.crosses().ravel()  # at 2 * (A clicked) + (B clicked)
-    p_vac, draw_occupied = _occupied_sampler(spec)
+def _joined(blocks: list) -> tuple:
+    """One chunk's ``(n_a, n_b, x_a, x_b, slots)`` from its blocks' draws."""
+    if len(blocks) == 1:
+        return blocks[0]
+    n_a, n_b, x_a, x_b, slots = zip(*blocks)
+    return (*map(np.concatenate, (n_a, n_b, x_a, x_b)),
+            None if slots[0] is None else np.concatenate(slots))
+
+
+def _draw_blocks(config: RunConfig, p_vac: float, draw_occupied, tally) -> None:
+    """Draw each occupied block, and pass them to ``tally`` in chunks of whole blocks.
+
+    A block draws ``k``, then ``draw_occupied``'s occupations and cell
+    uniforms, then in dead-window runs the sorted absolute positions of its
+    occupied slots.  Blocks are held until the next would take the held
+    occupied count past ``CHUNK``; a block at or past it is tallied alone,
+    straight after its draws.
+    """
     window = config.dead_window_slots
-
-    n_blocks = (config.slots + BLOCK - 1) // BLOCK
-
-    tally_a = tally_b = single_sided = coincidences = suppressed = 0
-    carry = (-window - 1, False)  # last effective click, dead-window state
-    for i in range(n_blocks):
+    held, held_k, tallied = [], 0, None
+    for i in range((config.slots + BLOCK - 1) // BLOCK):
         base = i * BLOCK
         size = min(BLOCK, config.slots - base)
         child = np.random.SeedSequence(config.seed, spawn_key=(i,))
@@ -350,29 +408,70 @@ def run(config: RunConfig) -> RunResult:
         k = int(rng.binomial(size, 1.0 - p_vac))
         if k == 0:
             continue
-        n_a, n_b = draw_occupied(rng, k)
-        kept_a, click_a = _arm_clicks(rng, n_a, survival_a, r2)
-        kept_b, click_b = _arm_clicks(rng, n_b, survival_b, r2)
-
-        swap = crosses.take(2 * click_a + click_b)
+        drawn = draw_occupied(rng, k)
+        # a tallied chunk is let go only now: freed straight after its tally,
+        # or kept past this block's positions, it doubled the page faults of
+        # bright dead-window runs
+        tallied = None
+        slots = None
         if window:
             # a block's offsets fit int32, which sorts about twice as fast;
             # adding the base as an int64 widens them back
-            offsets = np.sort(rng.choice(size, k, replace=False).astype(np.int32))
+            offsets = rng.choice(size, k, replace=False).astype(np.int32)
+            offsets.sort()
+            slots = offsets + np.int64(base)
+        if held and held_k + k > CHUNK:
+            tally(held)
+            tallied, held, held_k = held, [], 0
+        held.append((*drawn, slots))
+        held_k += k
+        if held_k >= CHUNK:
+            tally(held)
+            tallied, held, held_k = held, [], 0
+    if held:
+        tally(held)
+
+
+def run(config: RunConfig) -> RunResult:
+    """Simulate one acquisition and return its tallies."""
+    spec, mode = config.spec, config.mode
+    policy = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
+        mode, canonical_policy(spec.kind))
+    r2 = config.r * config.r
+    survival_a, survival_b = (config.eps2 * e for e in config.arm_efficiency)
+    crossed = policy.crosses()[_MON_A, _MON_B].ravel()  # at 4 * cell_a + cell_b
+    p_vac, draw_occupied = _occupied_sampler(spec)
+    window = config.dead_window_slots
+
+    hist = np.zeros(32, dtype=np.int64)  # [swap, out_a, mon_a, out_b, mon_b]
+    rows = suppressed = 0
+    table_a = table_b = None
+    carry = (-window - 1, False)  # last effective click, dead-window state
+
+    def tally(blocks: list) -> None:
+        nonlocal rows, table_a, table_b, suppressed, carry
+        n_a, n_b, x_a, x_b, slots = _joined(blocks)
+        top = max(int(n_a.max()), int(n_b.max()))
+        if top >= rows:  # tabulate the thresholds up to twice the largest count
+            rows = 2 * top + 1
+            table_a = table_b = _cell_thresholds(survival_a, r2, rows)
+            if survival_b != survival_a:
+                table_b = _cell_thresholds(survival_b, r2, rows)
+        code = _arm_cells(table_a, n_a, x_a)
+        code <<= 2
+        code += _arm_cells(table_b, n_b, x_b)
+        if window:
             swap, lost, carry = _dead_window_states(
-                offsets + np.int64(base), click_a | click_b, swap, window, carry)
+                slots, (code & _MONITOR_BITS) != 0, crossed.take(code), window, carry)
             suppressed += lost
-        # the switch permutes the kept photons: it moves one between the
-        # outputs only where exactly one arm kept it
-        single = kept_a ^ kept_b
-        moved = swap & single
-        tally_a += int(np.count_nonzero(kept_a ^ moved))
-        tally_b += int(np.count_nonzero(kept_b ^ moved))
-        single_sided += int(np.count_nonzero(single))
-        coincidences += int(np.count_nonzero(kept_a & click_a)
-                            + np.count_nonzero(kept_a & click_b)
-                            + np.count_nonzero(kept_b & click_a)
-                            + np.count_nonzero(kept_b & click_b))
+            code += swap.view(np.uint8) << 4
+        np.add(hist, np.bincount(code, minlength=32), out=hist)
+
+    _draw_blocks(config, p_vac, draw_occupied, tally)
+    if not window:  # the switch follows each slot's own monitor clicks
+        hist[16:] = hist[:16] * crossed
+        hist[:16] -= hist[16:]
+    tally_a, tally_b, single_sided, coincidences = (int(t) for t in _TALLY_WEIGHTS @ hist)
 
     delta = tally_a - tally_b
     stderr = math.sqrt(max(single_sided - delta * delta / config.slots, 0.0))
@@ -531,6 +630,8 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     slots = _as_count("slots", slots, MIN_G2_SLOTS)
     seed = _as_seed(seed)
     taus = [_as_count("each delay", t, 0) for t in tau_grid]
+    if not taus:
+        raise ValueError("tau_grid holds no delay; give at least one")
     if any(t >= slots for t in taus):
         raise ValueError("delays must satisfy 0 <= tau < slots")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -553,7 +654,7 @@ def estimate_g2(spec: SourceSpec, slots: int, seed: int, tau_grid,
     sums = [0] * len(taus)
     # half_1 of the block, after the last ``keep`` slots before it; the head
     # starts as zeros, so slots before the stream count as empty
-    keep = max(taus, default=0)
+    keep = max(taus)
     lagged = np.zeros(keep + BLOCK, dtype=np.int64)
     for counts in blocks:
         size = counts.size

@@ -144,6 +144,8 @@ _ARGUMENT_ERRORS = [
     (["info", "--kind", "uncorrelated", "--nbar", "0.05", "--cutoff", "385"], "cutoff"),
     (["info", "--kind", "split-thermal", "--nbar", "0.05", "--cutoff", "-1"], "cutoff"),
     (["g2", "--nbar", "0.5", "--taus", "1,x"], "--taus"),
+    (["g2", "--nbar", "0.5", "--taus", ""], "no delay"),
+    (["g2", "--nbar", "0.5", "--taus", " , "], "no delay"),
     # the flag is range-checked like DEMONLAB_SEED, before anything runs
     (["sweep", "--preset", "fig4a", "--seed", "-1"], "--seed"),
     (["g2", "--nbar", "0.5", "--seed", "18446744073709551616"], "--seed"),

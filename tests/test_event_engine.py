@@ -13,10 +13,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from demonlab.analytics import Normalization
+from demonlab import montecarlo
 from demonlab.montecarlo import (
+    BLOCK,
     STREAM_VERSION,
+    _TALLY_WEIGHTS,
     RunConfig,
     RunMode,
+    _arm_cells,
+    _cell_thresholds,
     _dead_window_states,
     _occupied_sampler,
     measure_power,
@@ -131,6 +136,70 @@ def test_dead_window_holds_its_state_across_a_block_boundary():
     assert states.tolist() == want.tolist() and suppressed == want_suppressed
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 31), max_size=300))
+def test_tally_weights_match_per_slot_booleans(codes):
+    """The weight vectors over ``[swap, out_a, mon_a, out_b, mon_b]`` against
+    the per-slot boolean tallies they replace."""
+    code = np.array(codes, dtype=np.intp)
+    swap, kept_a, click_a, kept_b, click_b = ((code >> bit) & 1 == 1 for bit in (4, 3, 2, 1, 0))
+    # the switch permutes the kept photons: it moves one between the outputs
+    # only where exactly one arm kept it
+    single = kept_a ^ kept_b
+    moved = swap & single
+    want = [np.count_nonzero(kept_a ^ moved), np.count_nonzero(kept_b ^ moved),
+            np.count_nonzero(single),
+            np.count_nonzero(kept_a & click_a) + np.count_nonzero(kept_a & click_b)
+            + np.count_nonzero(kept_b & click_a) + np.count_nonzero(kept_b & click_b)]
+    assert (_TALLY_WEIGHTS @ np.bincount(code, minlength=32)).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+@example(1.0, 1e-300, 0)  # the output and monitor chances a hair apart
+def test_arm_cells_count_ordered_thresholds(survival, r2, seed):
+    """An arm's cell, the number of thresholds its uniform passes, equals
+    ``2 * output + monitor`` read off the thresholds one at a time."""
+    rng = np.random.default_rng(seed)
+    rows = 40
+    thresholds = _cell_thresholds(survival, r2, rows)
+    assert np.all(np.diff(thresholds, axis=0) >= 0.0)
+    n = rng.integers(0, rows, 2000)
+    x = rng.random(2000)
+    none, no_output, not_both = (x >= level.take(n) for level in thresholds)
+    # cells 1 and 3 hold the monitor click: past one or three thresholds
+    want = 2 * no_output + (none ^ no_output ^ not_both)
+    assert np.array_equal(_arm_cells(thresholds, n, x), want)
+
+
+# the four weak baths and the bright thermal ones
+_SCHEDULED_BATHS = [
+    SourceSpec.uncorrelated(0.05), SourceSpec.split_thermal(0.05),
+    SourceSpec.correlated(s2=0.01), SourceSpec.anti_correlated(s2=0.01, v2=0.87),
+    SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5),
+]
+_SCHEDULED_MODES = [("bar", 0), ("cross", 0), ("feed_forward", 0),
+                    ("feed_forward", 1), ("feed_forward", 5), ("feed_forward", 100)]
+
+
+@pytest.mark.parametrize("spec", _SCHEDULED_BATHS, ids=[
+    "uncorrelated-0.05", "split-0.05", "correlated", "anti-correlated",
+    "uncorrelated-0.5", "split-0.5"])
+def test_tallies_do_not_depend_on_block_scheduling(spec, monkeypatch):
+    """A chunk of one block each, and one chunk for the whole run, give the
+    default's results: a run's tallies are the sum of its blocks' histograms,
+    with the dead-window walk carried from block to block."""
+    slots = 5 * BLOCK + 777
+    configs = [RunConfig(spec=spec, r=math.sqrt(0.3), eps2=0.7, slots=slots, seed=seed,
+                         mode=mode, arm_efficiency=arms, dead_window_slots=window)
+               for seed, ((mode, window), arms) in enumerate(
+                   (m, a) for m in _SCHEDULED_MODES for a in ((1.0, 1.0), (0.6, 1.0)))]
+    default = [run(cfg) for cfg in configs]
+    for cap in (1, slots + 1):
+        monkeypatch.setattr(montecarlo, "CHUNK", cap)
+        assert [run(cfg) for cfg in configs] == default, cap
+
+
 def _chi2_sf(x: float, df: int) -> float:
     """Upper tail of the chi-square law with ``df`` degrees of freedom, in closed form."""
     h = x / 2.0
@@ -159,7 +228,7 @@ def test_occupied_draws_follow_the_exact_law(make, nbar):
     with the mass past the cutoff into one tail bin."""
     spec = make(nbar)
     p_vac, draw = _occupied_sampler(spec)
-    n_a, n_b = draw(np.random.Generator(np.random.PCG64(2020)), DRAWS)
+    n_a, n_b, _, _ = draw(np.random.Generator(np.random.PCG64(2020)), DRAWS)
     cutoff = 80
     table, lost = bath_table(spec, cutoff)
     assert table[0, 0] == p_vac
@@ -182,7 +251,7 @@ def test_split_draws_past_64_photons_split_fairly():
     the binomial: ``(n_a - tot/2) / sqrt(tot/4)`` has mean 0 and variance 1
     within 5 of their standard errors, as it does below 64 photons."""
     _, draw = _occupied_sampler(SourceSpec.split_thermal(100.0))
-    n_a, n_b = draw(np.random.Generator(np.random.PCG64(2021)), DRAWS)
+    n_a, n_b, _, _ = draw(np.random.Generator(np.random.PCG64(2021)), DRAWS)
     tot = n_a + n_b
     z = (n_a - tot / 2.0) / np.sqrt(tot / 4.0)
     for part in (tot > 64, tot <= 64):

@@ -87,7 +87,7 @@ def test_bright_run_at_the_bound_stays_small():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6, make  # about 10 MB: the table is about BLOCK rows
+        assert peak < 32e6, make  # about 10 MB: the table is about 2 * BLOCK rows
 
 
 def test_identical_configs_reproduce_bit_for_bit():
@@ -266,6 +266,10 @@ def test_g2_input_validation():
         estimate_g2(spec, 1e5, seed=1, tau_grid=(0, 1))
     with pytest.raises(ValueError, match="delay must be an integer"):
         estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=(0, 1.7))
+    # no delay means nothing to estimate: refused before the stream is drawn
+    for taus in ((), []):
+        with pytest.raises(ValueError, match="no delay"):
+            estimate_g2(spec, MIN_G2_SLOTS, seed=1, tau_grid=taus)
     # a bath this faint passes every up-front check, and its stream ends empty
     with pytest.raises(ValueError, match="stream is empty"):
         estimate_g2(SourceSpec.uncorrelated(1e-9), MIN_G2_SLOTS, seed=1, tau_grid=(0, 1))
