@@ -27,20 +27,20 @@ switch routes the output clicks by the monitor click pattern; bar and cross
 runs are the constant policies ``ALL_BAR`` and ``ALL_CROSS``.
 
 Draw order is part of correctness.  In every mode a block draws ``k``, then
-the occupations, then the uniforms of arm A, then those of arm B.  Same-seed
-bar, cross, feed-forward and dead-window runs therefore see the same
-photons: they give identical ``n_a + n_b`` and ``coincidences``, and the
-switch only relabels the arms.  A block makes only these draws; blocks are
-held until they would hold more than ``CHUNK`` occupied slots, and then
-tallied together, so weak light pays numpy's per-call cost per chunk, not
-per block.
+the occupations, then the uniforms of arm A, then those of arm B, all from
+the run's one photon generator; slot positions have a generator of their
+own.  Same-seed bar, cross, feed-forward and dead-window runs therefore see
+the same photons: they give identical ``n_a + n_b`` and ``coincidences``,
+and the switch only relabels the arms.  Blocks are held until they would
+hold more than ``CHUNK`` occupied slots, and then tallied together, so weak
+light pays numpy's per-call cost per chunk, not per block.
 
 A response dead window freezes the switch for ``dead_window_slots`` slots
 after an effective monitor click, in the state that click chose.  Only
 dead-window runs need slot positions.  A block draws the positions of its
-occupied slots after the uniforms and sorts them; the walk then finds a
-chunk's effective clicks without a per-click loop.  Each click's successor
-is the first click at least ``window + 1`` slots after it, one
+occupied slots and sorts them; the walk then finds a chunk's effective
+clicks without a per-click loop.  Each click's successor is the first
+click at least ``window + 1`` slots after it, one
 ``searchsorted`` for all clicks: its cost follows the clicks, where a count
 of clicks over the block would cost a whole block's pass even in weak light.
 The effective clicks are the chain of successors from the first click free
@@ -50,13 +50,13 @@ image under the successor table and then composing the table with itself.
 The last effective click is carried into the next chunk, so a window that
 crosses a chunk boundary keeps its held state.
 
-Determinism: a run is a pure function of its config.  Block ``i`` consumes
-``SeedSequence(seed, spawn_key=(i,))``, the child ``spawn`` would give it,
-built alone.  Runs without a dead window are independent per block, so
-they can be sharded by block and the shards' histograms summed; dead-window
-runs carry switch state from block to block and cannot.
-``STREAM_VERSION`` names the stream a seed yields; it goes up whenever a
-change alters the tallies of any seed.
+Determinism: a run is a pure function of its config.  Its photons come
+from ``SeedSequence(seed, spawn_key=(0,))`` and a dead-window run's slot
+positions from ``SeedSequence(seed, spawn_key=(1,))``, the children
+``spawn`` would give, built alone.  What depends only on the bath or the
+mode (the occupied sampler, the switch vector) is built once and cached,
+read-only.  ``STREAM_VERSION`` names the stream a seed yields; it goes up
+whenever a change alters the tallies of any seed.
 
 Counting conventions, chosen to mirror how the hardware is read out.  A run
 counts its occupied slots in a histogram over the click table's cells and
@@ -78,6 +78,7 @@ tally is one weight vector over it (``_TALLY_WEIGHTS``):
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -114,7 +115,7 @@ MAX_THERMAL_NBAR = BLOCK / math.log(BLOCK)
 BALANCE_MAX_ITERS = 40
 
 #: Version of the random stream a seed yields; recorded in every result.
-STREAM_VERSION = 4
+STREAM_VERSION = 5
 
 MIN_G2_SLOTS = 100_000
 
@@ -256,6 +257,7 @@ def _balanced_split(rng: np.random.Generator, tot: np.ndarray) -> np.ndarray:
     return n_a
 
 
+@functools.lru_cache(maxsize=64)  # shared by every run of a bath: read-only
 def _occupied_sampler(spec: SourceSpec):
     """The bath's vacuum probability, and a draw of occupied slots.
 
@@ -310,13 +312,24 @@ def _occupied_sampler(spec: SourceSpec):
     cum = np.cumsum(table[arr_a, arr_b])
     cum /= cum[-1]
     cum[-1] = 1.0
+    for shared in (arr_a, arr_b, cum):
+        shared.flags.writeable = False
 
     def draw(rng, k):
         u = rng.random(3 * k)
-        idx = np.searchsorted(cum, u[:k], side="right")
+        idx = cum.searchsorted(u[:k], side="right")
         return arr_a.take(idx), arr_b.take(idx), u[k:2 * k], u[2 * k:]
 
     return p_vac, draw
+
+
+@functools.lru_cache(maxsize=None)  # one per mode and bath kind: read-only
+def _switch_vector(mode: RunMode, kind: SourceKind) -> np.ndarray:
+    """Whether the switch crosses at each click table cell ``4 * cell_a + cell_b``."""
+    crossed = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
+        mode, canonical_policy(kind)).crosses()[_MON_A, _MON_B].ravel()
+    crossed.flags.writeable = False
+    return crossed
 
 
 def _cell_thresholds(survival: float, r2: float, rows: int) -> np.ndarray:
@@ -394,17 +407,17 @@ def _draw_blocks(config: RunConfig, p_vac: float, draw_occupied, tally) -> None:
 
     A block draws ``k``, then ``draw_occupied``'s occupations and cell
     uniforms, then in dead-window runs the sorted absolute positions of its
-    occupied slots.  Blocks are held until the next would take the held
-    occupied count past ``CHUNK``; a block at or past it is tallied alone,
-    straight after its draws.
+    occupied slots, from a second generator.  Blocks are held until the next
+    would take the held occupied count past ``CHUNK``; a block at or past it
+    is tallied alone, straight after its draws.
     """
-    window = config.dead_window_slots
+    window, seed = config.dead_window_slots, config.seed
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    if window:
+        positions = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
     held, held_k, tallied = [], 0, None
-    for i in range((config.slots + BLOCK - 1) // BLOCK):
-        base = i * BLOCK
+    for base in range(0, config.slots, BLOCK):
         size = min(BLOCK, config.slots - base)
-        child = np.random.SeedSequence(config.seed, spawn_key=(i,))
-        rng = np.random.Generator(np.random.PCG64(child))
         k = int(rng.binomial(size, 1.0 - p_vac))
         if k == 0:
             continue
@@ -417,7 +430,7 @@ def _draw_blocks(config: RunConfig, p_vac: float, draw_occupied, tally) -> None:
         if window:
             # a block's offsets fit int32, which sorts about twice as fast;
             # adding the base as an int64 widens them back
-            offsets = rng.choice(size, k, replace=False).astype(np.int32)
+            offsets = positions.choice(size, k, replace=False).astype(np.int32)
             offsets.sort()
             slots = offsets + np.int64(base)
         if held and held_k + k > CHUNK:
@@ -435,11 +448,9 @@ def _draw_blocks(config: RunConfig, p_vac: float, draw_occupied, tally) -> None:
 def run(config: RunConfig) -> RunResult:
     """Simulate one acquisition and return its tallies."""
     spec, mode = config.spec, config.mode
-    policy = {RunMode.BAR: ALL_BAR, RunMode.CROSS: ALL_CROSS}.get(
-        mode, canonical_policy(spec.kind))
     r2 = config.r * config.r
     survival_a, survival_b = (config.eps2 * e for e in config.arm_efficiency)
-    crossed = policy.crosses()[_MON_A, _MON_B].ravel()  # at 4 * cell_a + cell_b
+    crossed = _switch_vector(mode, spec.kind)
     p_vac, draw_occupied = _occupied_sampler(spec)
     window = config.dead_window_slots
 

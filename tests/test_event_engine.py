@@ -6,6 +6,7 @@ the exact rates of ``protocol.propagate``, and the reported power and
 imbalance error bars against the scatter of many seeds.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from demonlab.montecarlo import (
     _cell_thresholds,
     _dead_window_states,
     _occupied_sampler,
+    _switch_vector,
     measure_power,
     run,
 )
@@ -352,5 +354,27 @@ def test_a_pair_bath_at_s2_zero_runs_with_empty_tallies(spec):
 def test_results_record_the_stream_version():
     res = run(RunConfig(spec=SourceSpec.correlated(s2=0.01), r=0.5, eps2=1.0,
                         slots=1000, seed=1))
-    assert STREAM_VERSION == 4
+    assert STREAM_VERSION == 5
     assert res.to_json_dict()["stream_version"] == STREAM_VERSION
+
+
+@pytest.mark.parametrize("window", [0, 5])
+def test_cached_set_up_is_read_only(window):
+    """Every run of a bath shares its sampler's pair table, and every run of a
+    mode and bath kind its switch vector: writing to them raises, and a run
+    after the attempts equals one built from empty caches."""
+    spec = SourceSpec.anti_correlated(s2=0.01, v2=0.87)
+    cfg = RunConfig(spec=spec, r=math.sqrt(R2), eps2=EPS2, slots=BLOCK + 13, seed=5,
+                    dead_window_slots=window)
+    shared = {**inspect.getclosurevars(_occupied_sampler(spec)[1]).nonlocals,
+              "switch": _switch_vector(cfg.mode, spec.kind)}
+    assert sorted(shared) == ["arr_a", "arr_b", "cum", "switch"]
+    for array in shared.values():
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 0
+    after = run(cfg)
+    _occupied_sampler.cache_clear()
+    _switch_vector.cache_clear()
+    assert run(cfg) == after

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from demonlab import montecarlo
 from demonlab.montecarlo import (
     BLOCK,
     MAX_THERMAL_NBAR,
@@ -115,16 +116,20 @@ def test_result_counts_are_consistent():
 
 
 def test_switch_mode_conserves_totals_slot_by_slot():
-    """Same seed means same photon draws; the switch only relabels arms."""
+    """Same seed means same photon draws; the switch only relabels arms.  Past
+    one block too: dead-window runs draw their slot positions, and the others
+    do not, so positions must not come from the photons' stream."""
     for spec in (CORR, SourceSpec.anti_correlated(s2=0.01, v2=0.87), UNCORR, SPLIT,
                  SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5)):
-        totals = set()
-        for mode, window in ((RunMode.BAR, 0), (RunMode.CROSS, 0), (RunMode.FEED_FORWARD, 0),
-                             *((RunMode.FEED_FORWARD, w) for w in (1, 10, 100))):
-            res = run(_cfg(spec=spec, slots=25_000, seed=77, mode=mode,
-                           dead_window_slots=window))
-            totals.add((res.n_a + res.n_b, res.coincidences))
-        assert len(totals) == 1, spec.kind
+        for slots in (25_000, 2 * BLOCK + 13):
+            totals = set()
+            for mode, window in ((RunMode.BAR, 0), (RunMode.CROSS, 0),
+                                 (RunMode.FEED_FORWARD, 0),
+                                 *((RunMode.FEED_FORWARD, w) for w in (1, 10, 100))):
+                res = run(_cfg(spec=spec, slots=slots, seed=77, mode=mode,
+                               dead_window_slots=window))
+                totals.add((res.n_a + res.n_b, res.coincidences))
+            assert len(totals) == 1, (spec.kind, slots)
 
 
 def test_bar_and_cross_mirror_each_other():
@@ -216,17 +221,37 @@ def test_calibrate_balance_symmetric_arms_need_no_trim():
     assert calibrate_balance(cfg) == (1.0, 1.0)
 
 
-def test_calibrate_balance_nulls_a_ten_percent_imbalance():
+def test_calibrate_balance_nulls_a_ten_percent_imbalance(monkeypatch):
+    """The trims leave no imbalance an independent check run can resolve.
+
+    Calibration stops at a run with ``|delta_n| <= 3 sigma_cal``, so the
+    trimmed arms' true imbalance is at most ``3 sigma_cal`` plus that run's
+    noise.  A check run adds its own noise, so ``|delta_n|`` of the check
+    stays within ``3 sigma_cal + z sqrt(sigma_cal**2 + sigma_check**2)``; at
+    ``z = 4`` a correct calibration exceeds it with chance below 6.3e-5, the
+    two-sided normal tail.  The exact trim is ``1 / 1.1``; a trim that
+    ignores ``arm_efficiency`` sees balanced arms and returns 1.
+    """
+    bar_runs = []
+
+    def recording_run(config):
+        bar_runs.append(run(config))
+        return bar_runs[-1]
+
+    monkeypatch.setattr(montecarlo, "run", recording_run)
     cfg = _cfg(spec=UNCORR, slots=400_000, seed=29, mode=RunMode.BAR,
                arm_efficiency=(1.0, 1.0 / 1.1))
     trim_a, trim_b = calibrate_balance(cfg)
     assert trim_b == 1.0
     assert 0.8 < trim_a < 1.0
+    sigma_cal = bar_runs[-1].stderr_delta_n
+    assert abs(bar_runs[-1].delta_n) <= 3.0 * sigma_cal
     check = run(RunConfig(spec=UNCORR, r=cfg.r, eps2=1.0, slots=400_000,
                           seed=999, mode=RunMode.BAR,
                           arm_efficiency=(trim_a * cfg.arm_efficiency[0],
                                           trim_b * cfg.arm_efficiency[1])))
-    assert abs(check.delta_n) <= 4.0 * check.stderr_delta_n
+    sigma_check = check.stderr_delta_n
+    assert abs(check.delta_n) <= 3.0 * sigma_cal + 4.0 * math.hypot(sigma_cal, sigma_check)
 
 
 def test_calibrate_balance_rejects_gross_imbalance():

@@ -60,17 +60,17 @@ G2_DIGESTS = {
 # 300k slots at seed 3, default tap (r2 0.5) and coupling (eps2 1)
 MC_DIGESTS = {
     ("--kind", "uncorrelated", "--nbar", "0.05", "--dead-window", "5"):
-        "7c25426a5ef77163a6435488867d31d508fa05da21453c5b43cb95595d7389d4",
+        "d6ef15dac269fab4c5fff65ca97d84cfa3a1777654c5ca330037f7651d054a7e",
     ("--kind", "split-thermal", "--nbar", "0.05", "--dead-window", "5"):
-        "5b1ae05f7919c307012900977ee813c362d1d17726a540e989e9d244855555a1",
+        "9b08a841dac43d37d93fb0009cd4dc602ca2ad1a65a32e499d2b59bcdd1c30c6",
     ("--kind", "correlated", "--s2", "0.01", "--dead-window", "5"):
-        "506a79732a5795fa4cb37d70044d93c8cf5b143391fcc5dd9f098deedb2ebcc6",
+        "326283c06c067b50e247c3dee71423db112b78ba9ae6c0094154ae6c225743d8",
     ("--kind", "anti-correlated", "--s2", "0.01", "--v2", "0.87", "--dead-window", "5"):
-        "1c76037e602d57c153b6f9804041e61cfb81c0606b15266dd2ebe2081763ab2a",
+        "a798a9160018dd0d851f28b1193c79a11ab3103fefb1c4b3e5e5947245d8afd6",
     ("--kind", "correlated", "--s2", "0.01", "--normalization", "pairs"):
-        "ccd0a77068f025ee7fdd7c74ce52903d171bb840711bc875fe0c775022261a9b",
+        "191216a86f648dc09c97c5398391e4f1927d7fccd3c658c3cf995bfa2a498795",
     ("--kind", "uncorrelated", "--nbar", "0.05", "--normalization", "singles"):
-        "43c60ca3b3942c42c20ccd052068b3c5599c3435e4d8df538d845669d7f99d7d",
+        "8f9aeacf2313e7ef87a47fd26f7be64d9509974e8a83f491b86fe340b56c1e34",
 }
 
 
@@ -122,13 +122,13 @@ STREAM_RECIPES = {
                SourceSpec.anti_correlated(s2=0.01, v2=0.87)),
         runs=(("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 5)),
         config=dict(r=math.sqrt(0.3), eps2=0.7, slots=50_000),
-        digests={3: "f0097c196b3c2a04", 4: "ac7b0e8183a107d4"}),
+        digests={3: "f0097c196b3c2a04", 4: "ac7b0e8183a107d4", 5: "2c0aa11a54aad3f6"}),
     "bright": dict(
         baths=(SourceSpec.uncorrelated(0.5), SourceSpec.split_thermal(0.5)),
         runs=(("bar", 0), ("cross", 0), ("feed_forward", 0), ("feed_forward", 1),
               ("feed_forward", 10), ("feed_forward", 100)),
         config=dict(r=math.sqrt(0.4), eps2=0.75, slots=150_000, arm_efficiency=(1.0, 0.8)),
-        digests={3: "a51439b7caee5430", 4: "8e3a2f12b95f9d76"}),
+        digests={3: "a51439b7caee5430", 4: "8e3a2f12b95f9d76", 5: "d633d92c11284375"}),
 }
 
 
